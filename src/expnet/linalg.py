@@ -63,18 +63,6 @@ def _check_square(a: np.ndarray, name: str = "matrix") -> None:
         raise DimensionError(f"{name} must be square 2-D, got shape {a.shape}")
 
 
-def matmul(a: CMatrix, b: CMatrix) -> CMatrix:
-    """Matrix product ``a @ b`` for equal-dimension square matrices.
-
-    Raises :class:`DimensionError` when the dimensions differ.
-    """
-    _check_square(a, "a")
-    _check_square(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return np.asarray(a) @ np.asarray(b)
-
-
 @dataclass(frozen=True)
 class LuFactors:
     """Partial-pivoted LU factorization with a condition estimate.
@@ -249,9 +237,9 @@ def matrix_from_json(obj: dict) -> CMatrix:
 
 def save_matrix(path, a: CMatrix) -> None:
     """Write a matrix JSON file."""
+    # one json.dumps call: json.dump streams through the pure-Python encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(a), fh)
-        fh.write("\n")
+        fh.write(json.dumps(matrix_to_json(a)) + "\n")
 
 
 def load_matrix(path) -> CMatrix:

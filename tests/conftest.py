@@ -1,31 +1,14 @@
 """Shared independent oracles.
 
 Every reference here is deliberately implemented by a route different
-from the package's own kernels: plain triple loops, unscaled Taylor
-sums, characteristic polynomials via trace recursion. Slow is fine;
-agreeing with the implementation by construction is not.
+from the package's own kernels: unscaled Taylor sums, characteristic
+polynomials via trace recursion. Slow is fine; agreeing with the
+implementation by construction is not.
 """
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
-
-
-def matmul_reference(a, b):
-    """Triple-loop matrix product."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m), dtype=np.complex128)
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0 + 0.0j
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
 
 
 def taylor_expm(a, terms=30):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from expnet import errors, linalg
 
-from conftest import eigenvalues_reference, matched_distance, matmul_reference
+from conftest import eigenvalues_reference, matched_distance
 
 
 class TestCMatrix:
@@ -33,21 +33,6 @@ class TestCMatrix:
         m = linalg.cmatrix(np.eye(2))
         with pytest.raises(ValueError):
             m[0, 0] = 5.0
-
-
-class TestMatmul:
-    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
-    def test_matches_triple_loop(self, dim):
-        rng = np.random.default_rng(dim)
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        got = linalg.matmul(a, b)
-        ref = matmul_reference(a, b)
-        assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(errors.DimensionError):
-            linalg.matmul(np.eye(2), np.eye(3))
 
 
 class TestLu:
@@ -173,6 +158,14 @@ class TestMatrixJson:
             linalg.matrix_from_json({"dim": 3, "entries": [[[1.0, 0.0]]]})
         with pytest.raises(ValueError):
             linalg.matrix_from_json({"entries": []})
+
+    def test_file_bytes_are_compact_json(self, tmp_path):
+        a = linalg.random_matrix(32, seed=6)
+        path = tmp_path / "m.json"
+        linalg.save_matrix(path, a)
+        expected = json.dumps(linalg.matrix_to_json(a)) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert_array_equal(linalg.load_matrix(path), a)
 
     def test_save_deterministic(self, tmp_path):
         a = linalg.random_matrix(3, seed=5)

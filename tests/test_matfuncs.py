@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,13 +48,25 @@ class TestExpm:
         assert_allclose(out[:2, 2:], 0, atol=1e-14)
 
     def test_norm_limit_overflow(self):
-        with pytest.raises(OverflowError):
-            expm(np.eye(2) * 2e8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                expm(np.eye(2) * 2e8)
 
     def test_value_overflow(self):
         # norm below the hard input limit but exp overflows double range
         with pytest.raises(OverflowError):
             expm(np.eye(2) * 1e6)
+
+    @pytest.mark.parametrize(
+        "a", [np.eye(2) * 800.0, np.array([[800.0, 1.0], [0.0, 800.0]])]
+    )
+    def test_overflow_raises_without_warning(self, a):
+        # just past exp's double range (e^709): an error, never a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                expm(a)
 
     def test_inverse_relation(self):
         a = random_complex(11, 5)
@@ -124,6 +137,55 @@ class TestLogm:
         )
         with pytest.raises(errors.IllConditionedError):
             logm(t)
+
+    @pytest.mark.parametrize("eps", [6e-9, 8e-9])
+    def test_straddling_pair_past_gap_tolerance_rejected(self, eps):
+        # the gap 2 * eps is above 1e-8, yet the coupling is 1e8 times it
+        t = np.array(
+            [[-1.0 + eps * 1j, 1.0], [0.0, -1.0 - eps * 1j]], dtype=complex
+        )
+        with pytest.raises(errors.IllConditionedError):
+            logm(t)
+
+    @pytest.mark.parametrize("eps", [1e-9, 8e-9, 1e-6, 1e-4, 1e-3, 1e-2, 1e-1])
+    def test_rotated_straddling_cluster_meets_contract_or_raises(self, eps):
+        # rounding in the Schur form moves the computed eigenvalues of a
+        # rotated near-defective pair by ~1e-8, so their gap no longer shows
+        # how close they are; each call must still meet the roundtrip
+        # contract or raise
+        t = np.array(
+            [[-1.0 + eps * 1j, 1.0], [0.0, -1.0 - eps * 1j]], dtype=complex
+        )
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))[0]
+        a = q @ t @ q.T
+        try:
+            lg = logm(a)
+        except errors.IllConditionedError:
+            return
+        kappa = matfuncs.eigenvector_condition_estimate(linalg.schur_decompose(a))
+        bound = 1e-8 * np.linalg.norm(a) * max(1.0, kappa)
+        assert np.linalg.norm(expm(lg) - a) <= bound
+
+    def test_square_root_guard_rejects_blown_up_root(self):
+        # the root's coupling entry 1 / (sqrt(l1) + sqrt(l2)) ~ 1.7e8 is past
+        # the entry limit, independently of the cluster guard in logm
+        eps = 6e-9
+        t = np.array(
+            [[-1.0 + eps * 1j, 1.0], [0.0, -1.0 - eps * 1j]], dtype=complex
+        )
+        with pytest.raises(errors.IllConditionedError):
+            matfuncs._sqrtm_triu(t)
+
+    @pytest.mark.parametrize("other", [2.0, -1.0 + 1e-6j])
+    def test_negative_zero_imaginary_part_on_principal_sheet(self, other):
+        # -1 - 0j has principal arg +pi: the root chain must not take
+        # sqrt(-1 - 0j) = -i, and a near pair just above the cut does not
+        # straddle it
+        a = np.array([[complex(-1.0, -0.0), 1.0], [0.0, other]])
+        lg = logm(a)
+        assert lg[0, 0] == pytest.approx(1j * math.pi)
+        kappa = matfuncs.eigenvector_condition_estimate(linalg.schur_decompose(a))
+        assert np.linalg.norm(expm(lg) - a) <= 1e-12 * kappa * np.linalg.norm(a)
 
     def test_decoupled_near_pair_accepted(self):
         # same eigenvalues but zero coupling: exact diagonal log applies

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,36 @@ class TestVerifyRobustness:
         rep = solver.verify(bad, inst)
         assert not rep.passed
         assert rep.residual1 == math.inf or rep.residual1 > rep.tol
+
+    def test_only_second_forward_pass_overflows(self):
+        # expm(W1 X1) = e^-10 but expm(W1 X2) = e^10, so W2 expm(W1 X2)
+        # has norm 2e4 and its exponential overflows
+        inst = solver.make_instance([[-1.0]], [[1.0]], [[3.0]], [[6.0]])
+        w1 = np.array([[10.0]], dtype=complex)
+        w2 = np.array([[1.0]], dtype=complex)
+        w3 = inst.y1 * np.exp(-math.exp(-10.0))
+        w = solver.ThreeLayerWeights(w1=w1, w2=w2, w3=w3, alpha=2.0, z=w2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solver.verify(w, inst)
+        assert rep.residual1 <= 1e-12
+        assert rep.residual2 == math.inf
+        assert not rep.passed
+
+    def test_expm_calls_per_interpolant(self, monkeypatch):
+        # solve forms three exponentials; verify reuses expm(W1 Xi) for
+        # its forward passes and forms expm(Z) once: six more
+        calls = []
+        real_expm = solver.expm
+
+        def counting_expm(a):
+            calls.append(a.shape)
+            return real_expm(a)
+
+        monkeypatch.setattr(solver, "expm", counting_expm)
+        inst = admitted_instance(4, seed=14)
+        solver.verify(solver.solve_three_layer(inst), inst)
+        assert len(calls) == 9
 
     def test_weights_alpha_validated(self):
         w = solver.solve_three_layer(admitted_instance(2, seed=10))
