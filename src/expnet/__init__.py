@@ -83,69 +83,3 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ACTIVATIONS",
-    "ADMISSION_RCOND",
-    "Activation",
-    "ActivationSingularError",
-    "BranchSpec",
-    "CMatrix",
-    "ComplexInputError",
-    "ConvergenceError",
-    "DEFAULT_ALPHA",
-    "DEFAULT_TOLERANCE",
-    "DimensionError",
-    "ExperimentConfig",
-    "ExperimentTrace",
-    "ExpnetError",
-    "IDENTITY",
-    "IllConditionedError",
-    "InstanceRejectedError",
-    "LuFactors",
-    "MaxResampleError",
-    "NearSingularError",
-    "PRINCIPAL",
-    "ProblemInstance",
-    "RELU",
-    "SIGMOID",
-    "SchurForm",
-    "SeedRun",
-    "SingularInputError",
-    "SolveReport",
-    "ThreeLayerWeights",
-    "apply_activation",
-    "baseline_denominator",
-    "check_commuting_product",
-    "cmatrix",
-    "compute_z",
-    "eval_three_layer",
-    "expm",
-    "inverse",
-    "jordan_block_log",
-    "load_instance",
-    "load_matrix",
-    "load_weights",
-    "logm",
-    "lu_factor",
-    "lu_solve",
-    "make_instance",
-    "matrix_from_json",
-    "matrix_to_json",
-    "random_instance",
-    "random_matrix",
-    "run_experiment",
-    "save_instance",
-    "save_matrix",
-    "save_weights",
-    "schur_decompose",
-    "solve_block_diagonal",
-    "solve_single_layer",
-    "solve_three_layer",
-    "two_layer_gradient",
-    "two_layer_gradient_fd",
-    "two_layer_objective",
-    "two_layer_s_score",
-    "verify",
-    "write_trace_csv",
-]

@@ -318,31 +318,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit code per error class; the first matching row wins, so a
+#: json.JSONDecodeError (a ValueError) exits 4, not 2.
+_EXIT_CODES = (
+    ((InstanceRejectedError, MaxResampleError, ComplexInputError), 3),
+    ((json.JSONDecodeError, KeyError, DimensionError, OSError), 4),
+    ((SingularInputError, IllConditionedError, NearSingularError, ConvergenceError,
+      ActivationSingularError, OverflowError, FloatingPointError), 5),
+    ((ValueError,), 2),
+)
+_HANDLED = tuple(cls for classes, _ in _EXIT_CODES for cls in classes)
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceRejectedError, MaxResampleError, ComplexInputError) as exc:
+    except _HANDLED as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 3
-    except (json.JSONDecodeError, KeyError, DimensionError, OSError) as exc:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 4
-    except (
-        SingularInputError,
-        IllConditionedError,
-        NearSingularError,
-        ConvergenceError,
-        ActivationSingularError,
-        OverflowError,
-        FloatingPointError,
-    ) as exc:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 5
-    except ValueError as exc:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 2
+        return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
 
 
 def main() -> None:

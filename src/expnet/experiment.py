@@ -143,7 +143,7 @@ def baseline_denominator(inst: ProblemInstance) -> float:
     would be undefined on such an instance).
     """
     x1, x2, y1, y2 = _real_quad(inst)
-    base = y1 - y2 @ (inverse(inst.x2) @ inst.x1).real
+    base = y1 - y2 @ (inverse(x2) @ x1)
     value = float(np.linalg.norm(base) ** 2)
     if value == 0.0:
         raise InstanceRejectedError(
@@ -156,28 +156,45 @@ def baseline_denominator(inst: ProblemInstance) -> float:
 class _Forward:
     p1: np.ndarray
     p2: np.ndarray
-    s1: np.ndarray
-    factors: object
+    factors: object  # real LU of sigma(W X2)
     m: np.ndarray  # sigma(W X2)^-1 sigma(W X1)
     r: np.ndarray  # Y1 - Y2 m
+
+    @property
+    def objective(self) -> float:
+        return float(np.sum(self.r * self.r))
 
 
 def _forward(w, quad, activation, rcond_floor):
     x1, x2, y1, y2 = quad
     p1 = w @ x1
     p2 = w @ x2
-    s1 = activation.apply(p1)
-    s2 = activation.apply(p2)
-    factors = lu_factor(s2)
+    factors = lu_factor(activation.apply(p2))
     if factors.rcond <= rcond_floor:
         raise ActivationSingularError(
             f"sigma(W X2) is near singular (rcond {factors.rcond:.3e} <= "
             f"{rcond_floor:g})",
             factors.rcond,
         )
-    m = lu_solve(factors, s1).real
+    m = lu_solve(factors, activation.apply(p1))
     r = y1 - y2 @ m
-    return _Forward(p1=p1, p2=p2, s1=s1, factors=factors, m=m, r=r)
+    return _Forward(p1=p1, p2=p2, factors=factors, m=m, r=r)
+
+
+def _fd_gradient(w, quad, activation, rcond_floor, step: float = FD_STEP):
+    """Central finite-difference gradient of N (2 d^2 forward passes)."""
+    w = np.array(w, dtype=np.float64)
+    grad = np.zeros_like(w)
+    for i in range(w.shape[0]):
+        for j in range(w.shape[1]):
+            saved = w[i, j]
+            w[i, j] = saved + step
+            plus = _forward(w, quad, activation, rcond_floor).objective
+            w[i, j] = saved - step
+            minus = _forward(w, quad, activation, rcond_floor).objective
+            w[i, j] = saved
+            grad[i, j] = (plus - minus) / (2.0 * step)
+    return grad
 
 
 def two_layer_objective(
@@ -187,7 +204,7 @@ def two_layer_objective(
     """N(W) = ||Y1 - Y2 sigma(W X2)^-1 sigma(W X1)||_F^2."""
     activation = get_activation(activation)
     fwd = _forward(_as_real(w, "w"), _real_quad(inst), activation, rcond_floor)
-    return float(np.sum(fwd.r * fwd.r))
+    return fwd.objective
 
 
 def two_layer_s_score(
@@ -213,7 +230,7 @@ def _gradient_from_forward(fwd: _Forward, quad, activation) -> np.ndarray:
     where . is the entry-wise product.
     """
     x1, x2, y1, y2 = quad
-    u = lu_solve(fwd.factors, y2.T @ fwd.r, trans=1).real
+    u = lu_solve(fwd.factors, y2.T @ fwd.r, trans=1)
     v = u @ fwd.m.T
     return 2.0 * (
         (v * activation.derivative(fwd.p2)) @ x2.T
@@ -238,25 +255,9 @@ def two_layer_gradient_fd(
     rcond_floor: float = ACTIVATION_RCOND_FLOOR, step: float = FD_STEP,
 ) -> np.ndarray:
     """Central finite-difference gradient of N (2 d^2 objective calls)."""
-    activation = get_activation(activation)
-    w = _as_real(w, "w").copy()
-    quad = _real_quad(inst)
-
-    def objective(wm):
-        fwd = _forward(wm, quad, activation, rcond_floor)
-        return float(np.sum(fwd.r * fwd.r))
-
-    grad = np.zeros_like(w)
-    for i in range(w.shape[0]):
-        for j in range(w.shape[1]):
-            saved = w[i, j]
-            w[i, j] = saved + step
-            plus = objective(w)
-            w[i, j] = saved - step
-            minus = objective(w)
-            w[i, j] = saved
-            grad[i, j] = (plus - minus) / (2.0 * step)
-    return grad
+    return _fd_gradient(
+        _as_real(w, "w"), _real_quad(inst), get_activation(activation), rcond_floor, step
+    )
 
 
 @dataclass(frozen=True)
@@ -368,7 +369,7 @@ def _descend(w0, quad, denom, config: ExperimentConfig, activation) -> list:
     series = []
     for step in range(config.steps + 1):
         fwd = _forward(w, quad, activation, config.rcond_floor)
-        s = float(np.sum(fwd.r * fwd.r)) / denom
+        s = fwd.objective / denom
         if not math.isfinite(s):
             raise FloatingPointError(f"non-finite score at step {step}")
         series.append(s)
@@ -377,28 +378,11 @@ def _descend(w0, quad, denom, config: ExperimentConfig, activation) -> list:
         if config.gradient_mode == "analytic":
             grad = _gradient_from_forward(fwd, quad, activation)
         else:
-            grad = _fd_gradient_inline(w, quad, activation, config)
+            grad = _fd_gradient(w, quad, activation, config.rcond_floor)
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"non-finite gradient at step {step}")
         w -= (lr / denom) * grad
     return series
-
-
-def _fd_gradient_inline(w, quad, activation, config: ExperimentConfig):
-    grad = np.zeros_like(w)
-    wm = w.copy()
-    for i in range(w.shape[0]):
-        for j in range(w.shape[1]):
-            saved = wm[i, j]
-            wm[i, j] = saved + FD_STEP
-            plus = _forward(wm, quad, activation, config.rcond_floor)
-            wm[i, j] = saved - FD_STEP
-            minus = _forward(wm, quad, activation, config.rcond_floor)
-            wm[i, j] = saved
-            grad[i, j] = (
-                float(np.sum(plus.r * plus.r)) - float(np.sum(minus.r * minus.r))
-            ) / (2.0 * FD_STEP)
-    return grad
 
 
 def _run_seed(seed: int, config: ExperimentConfig) -> SeedRun:

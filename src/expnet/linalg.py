@@ -1,12 +1,14 @@
-"""Dense complex linear algebra: validated matrix values, LU with
-condition estimation, complex Schur decomposition, reproducible Gaussian
-sampling, and the repo-wide matrix JSON format.
+"""Dense linear algebra: validated matrix values, LU with condition
+estimation, complex Schur decomposition, reproducible Gaussian sampling,
+and the repo-wide matrix JSON format.
 
-Matrices are plain ``numpy.ndarray`` values of dtype complex128.
-:func:`cmatrix` is the validating constructor; it returns a read-only
-array so matrix values behave as immutable data. All operations here are
-pure functions of their inputs: repeated calls on identical inputs return
-bit-identical results (BLAS summation order is fixed within one build).
+Matrices are plain ``numpy.ndarray`` values. :func:`cmatrix` is the
+validating constructor of complex128 matrices; it returns a read-only
+array so matrix values behave as immutable data. The LU routines keep the
+field of their input: real input is factored and solved in float64,
+complex input in complex128. All operations here are pure functions of
+their inputs: repeated calls on identical inputs return bit-identical
+results (BLAS summation order is fixed within one build).
 """
 
 from __future__ import annotations
@@ -52,10 +54,15 @@ def cmatrix(entries) -> CMatrix:
     a = np.array(entries, dtype=np.complex128, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square 2-D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    require_finite(a)
     a.flags.writeable = False
     return a
+
+
+def require_finite(a: np.ndarray, what: str = "matrix", error: type = ValueError) -> None:
+    """Raise ``error`` unless every entry of ``a``, real or complex, is finite."""
+    if not np.all(np.isfinite(a)):
+        raise error(f"{what} entries must be finite (no NaN/Inf)")
 
 
 def _check_square(a: np.ndarray, name: str = "matrix") -> None:
@@ -87,12 +94,15 @@ class LuFactors:
 def lu_factor(a: CMatrix) -> LuFactors:
     """LU-factor a square matrix with partial pivoting.
 
+    The factors have the input's field: float64 for real input (LAPACK
+    dgetrf/dgecon), complex128 for complex input (zgetrf/zgecon).
     Never fails on singular input: exact singularity is reported through
     ``rcond == 0``. The estimate is the LAPACK 1-norm reciprocal
     condition number computed from the factors.
     """
     _check_square(a)
-    a = np.ascontiguousarray(a, dtype=np.complex128)
+    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
+    a = np.ascontiguousarray(a, dtype=dtype)
     anorm = float(np.linalg.norm(a, 1)) if a.size else 0.0
     with warnings.catch_warnings():
         # exact zero pivots are reported via rcond, not a warning
@@ -111,7 +121,8 @@ def lu_solve(factors: LuFactors, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """Solve ``A x = b`` from :func:`lu_factor` output.
 
     ``trans=1`` solves ``A^T x = b`` instead; ``trans=2`` the conjugate
-    transpose (LAPACK convention).
+    transpose (LAPACK convention). The solution is real when both the
+    factors and ``b`` are.
     """
     return scipy.linalg.lu_solve(
         (factors.lu, factors.piv), b, trans=trans, check_finite=False
@@ -121,6 +132,7 @@ def lu_solve(factors: LuFactors, b: np.ndarray, trans: int = 0) -> np.ndarray:
 def inverse(a: CMatrix, rcond_floor: float = DEFAULT_RCOND_FLOOR) -> CMatrix:
     """Invert a square matrix, guarded by a reciprocal-condition floor.
 
+    The inverse has the input's field (see :func:`lu_factor`).
     Residual behavior: measured over random well-conditioned inputs the
     multiply-back error satisfies ``||a @ inverse(a) - I||_F <= c * d *
     eps / rcond`` with c < 5 (c ~= 0.3 typical at d <= 16).
@@ -137,7 +149,7 @@ def inverse(a: CMatrix, rcond_floor: float = DEFAULT_RCOND_FLOOR) -> CMatrix:
             f"{rcond_floor:.3e}",
             rcond=factors.rcond,
         )
-    return lu_solve(factors, np.eye(a.shape[0], dtype=np.complex128))
+    return lu_solve(factors, np.eye(a.shape[0], dtype=factors.lu.dtype))
 
 
 @dataclass(frozen=True)

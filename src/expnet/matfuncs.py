@@ -28,7 +28,14 @@ from .errors import (
     IllConditionedError,
     SingularInputError,
 )
-from .linalg import CMatrix, SchurForm, _check_square, lu_factor, schur_decompose
+from .linalg import (
+    CMatrix,
+    SchurForm,
+    _check_square,
+    lu_factor,
+    require_finite,
+    schur_decompose,
+)
 
 #: expm refuses inputs above this 1-norm: e^||a|| is far beyond float range.
 EXPM_NORM_LIMIT = 1e8
@@ -45,8 +52,9 @@ MERCATOR_MAX_TERMS = 96
 LOGM_RCOND_FLOOR = 1e-10
 
 #: Largest strictly-upper entry a square root of the triangular factor may
-#: have. Entry (i, j) is about t_ij / (sqrt t_ii + sqrt t_jj), and that sum
-#: only nears zero when the two eigenvalues sit astride the branch cut.
+#: have, relative to its largest diagonal magnitude. Entry (i, j) is about
+#: t_ij / (sqrt t_ii + sqrt t_jj), and that sum only nears zero when the
+#: two eigenvalues sit astride the branch cut.
 SQRT_ENTRY_LIMIT = 1e8
 
 #: Largest coupling/gap ratio of two eigenvalues astride the branch cut.
@@ -78,11 +86,6 @@ def _principal_log(z) -> np.ndarray:
     return np.log(np.asarray(z, dtype=np.complex128) + 0.0)
 
 
-def _require_finite(a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
-
-
 def expm(a: CMatrix) -> CMatrix:
     """Matrix exponential sum(A^k / k!).
 
@@ -97,7 +100,7 @@ def expm(a: CMatrix) -> CMatrix:
     """
     _check_square(a)
     a = np.asarray(a, dtype=np.complex128)
-    _require_finite(a)
+    require_finite(a)
     anorm = float(np.linalg.norm(a, 1))
     if anorm > EXPM_NORM_LIMIT:
         raise OverflowError(
@@ -115,14 +118,17 @@ def _sqrtm_triu(t: np.ndarray) -> np.ndarray:
     """Principal square root of an upper-triangular matrix.
 
     Refuses a result with a non-finite entry or a strictly-upper entry
-    above ``SQRT_ENTRY_LIMIT``: two coupled eigenvalues straddle the
-    branch cut.
+    above ``SQRT_ENTRY_LIMIT`` times its largest diagonal magnitude: two
+    coupled eigenvalues straddle the branch cut. The test is relative, so
+    scaling the input by s scales the root by sqrt(s) and leaves the
+    verdict unchanged.
     """
     with warnings.catch_warnings():
         # a blown-up root is reported below, not as a warning
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         r = scipy.linalg.sqrtm(t)
-    if not np.all(np.isfinite(r)) or np.any(np.abs(np.triu(r, 1)) > SQRT_ENTRY_LIMIT):
+    limit = SQRT_ENTRY_LIMIT * np.abs(np.diagonal(r)).max()
+    if not np.all(np.isfinite(r)) or np.any(np.abs(np.triu(r, 1)) > limit):
         raise IllConditionedError(
             "two coupled eigenvalues straddle the logarithm branch cut; "
             "the triangular square root blew up"
@@ -230,7 +236,7 @@ def logm(a: CMatrix, branch: BranchSpec = PRINCIPAL) -> CMatrix:
     """
     _check_square(a)
     a = np.asarray(a, dtype=np.complex128)
-    _require_finite(a)
+    require_finite(a)
     factors = lu_factor(a)
     if factors.rcond <= LOGM_RCOND_FLOOR:
         raise SingularInputError(

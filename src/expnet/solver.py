@@ -29,9 +29,11 @@ from .linalg import (
     cmatrix,
     gaussian_entries,
     inverse,
+    load_matrix,
     lu_factor,
     matrix_from_json,
     matrix_to_json,
+    require_finite,
     save_matrix,
 )
 from .matfuncs import PRINCIPAL, BranchSpec, expm, logm
@@ -209,9 +211,13 @@ def compute_z(
     Existence is guaranteed for invertible labels because the matrix
     exponential is onto the invertible matrices; ``branch`` picks among
     the infinitely many logarithms.
+
+    Raises
+    ------
+    ValueError
+        For alpha <= 0 or |alpha - 1| < MIN_ALPHA_GAP.
     """
-    if not (alpha > 0) or alpha == 1.0:
-        raise ValueError(f"alpha must be positive and != 1, got {alpha}")
+    _validate_alpha(alpha)
     return logm(alpha * (inverse(y1) @ np.asarray(y2)), branch)
 
 
@@ -245,8 +251,7 @@ def solve_three_layer(
     w2 = (z - ln_alpha * eye) @ expm(-(w1 @ inst.x2)) / (1.0 - alpha)
     w3 = np.asarray(inst.y1) @ expm(-(w2 @ expm(w1 @ inst.x1)))
     for name, w in (("w1", w1), ("w2", w2), ("w3", w3)):
-        if not np.all(np.isfinite(w.real)) or not np.all(np.isfinite(w.imag)):
-            raise OverflowError(f"{name} overflowed during construction")
+        require_finite(w, f"constructed {name}", OverflowError)
     return ThreeLayerWeights(w1=w1, w2=w2, w3=w3, alpha=alpha, z=z)
 
 
@@ -426,8 +431,8 @@ def load_instance(path) -> ProblemInstance:
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     base = os.path.dirname(os.path.abspath(path))
-    mats = {}
-    for name in ("x1", "x2", "y1", "y2"):
-        with open(os.path.join(base, manifest["files"][name]), encoding="utf-8") as fh:
-            mats[name] = matrix_from_json(json.load(fh))
-    return make_instance(mats["x1"], mats["x2"], mats["y1"], mats["y2"])
+    x1, x2, y1, y2 = (
+        load_matrix(os.path.join(base, manifest["files"][name]))
+        for name in ("x1", "x2", "y1", "y2")
+    )
+    return make_instance(x1, x2, y1, y2)

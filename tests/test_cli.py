@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from expnet import cli, linalg, solver
+from expnet import cli, errors, linalg, solver
 
 
 def run_cli(*argv):
@@ -124,6 +124,37 @@ class TestSolveVerifyEval:
 
     def test_missing_instance_exit_4(self, workdir):
         assert run_cli("solve", "--instance", "nowhere") == 4
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (errors.InstanceRejectedError("rejected"), 3),
+        (errors.MaxResampleError("exhausted"), 3),
+        (errors.ComplexInputError("complex"), 3),
+        (json.JSONDecodeError("bad json", "{", 0), 4),
+        (KeyError("files"), 4),
+        (errors.DimensionError("shape"), 4),
+        (OSError("unreadable"), 4),
+        (errors.SingularInputError("singular"), 5),
+        (errors.IllConditionedError("cut"), 5),
+        (errors.NearSingularError("near singular", rcond=1e-12), 5),
+        (errors.ConvergenceError("no convergence"), 5),
+        (errors.ActivationSingularError("sigma singular", rcond=0.0), 5),
+        (OverflowError("overflow"), 5),
+        (FloatingPointError("nan"), 5),
+        (ValueError("bad value"), 2),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
+)
+def test_exit_code_table(workdir, monkeypatch, capsys, exc, code):
+    def failing_expm(a):
+        raise exc
+
+    linalg.save_matrix(workdir / "a.json", np.eye(2))
+    monkeypatch.setattr(cli, "expm", failing_expm)
+    assert run_cli("expm", "--in", "a.json") == code
+    assert f"error [{type(exc).__name__}]" in capsys.readouterr().err
 
 
 class TestMatrixFunctions:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from expnet import errors, experiment as xp, solver
+from expnet import errors, experiment as xp, linalg, solver
 
 
 def real_instance(dim, seed):
@@ -248,6 +248,21 @@ class TestRunExperiment:
         trace = xp.run_experiment(cfg)
         for run in trace.runs:
             assert len(run.s_values) == 1
+
+    @pytest.mark.parametrize("mode", xp.GRADIENT_MODES)
+    def test_descent_factors_over_the_reals(self, monkeypatch, mode):
+        dtypes = []
+
+        def recording_lu_factor(a):
+            factors = linalg.lu_factor(a)
+            dtypes.append(factors.lu.dtype)
+            return factors
+
+        monkeypatch.setattr(xp, "lu_factor", recording_lu_factor)
+        xp.run_experiment(
+            xp.ExperimentConfig(dim=3, steps=5, seeds=(1, 2), gradient_mode=mode)
+        )
+        assert dtypes and all(dtype == np.float64 for dtype in dtypes)
 
     def test_fd_mode_tracks_analytic(self):
         seeds = (3,)

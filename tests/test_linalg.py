@@ -65,6 +65,29 @@ class TestLu:
         x = linalg.lu_solve(linalg.lu_factor(a), b, trans=1)
         assert_allclose(a.T @ x, b, rtol=0, atol=1e-10)
 
+    def test_keeps_the_input_field(self):
+        # real input is factored and solved in float64, complex input in
+        # complex128; the complex route on the same values is the reference
+        def close(x, ref):
+            return np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+        for seed in range(5):
+            a = linalg.random_matrix(6, seed=seed, kind="real-gaussian").real
+            b = np.random.default_rng(seed + 50).standard_normal((6, 6))
+            real = linalg.lu_factor(a)
+            cplx = linalg.lu_factor(a + 0j)
+            assert real.lu.dtype == np.float64
+            assert cplx.lu.dtype == np.complex128
+            assert real.rcond == pytest.approx(cplx.rcond, rel=1e-12)
+            for trans in (0, 1):
+                x = linalg.lu_solve(real, b, trans=trans)
+                ref = linalg.lu_solve(cplx, b, trans=trans)
+                assert (x.dtype, ref.dtype) == (np.float64, np.complex128)
+                assert close(x, ref)
+            inv, ref = linalg.inverse(a), linalg.inverse(a + 0j)
+            assert (inv.dtype, ref.dtype) == (np.float64, np.complex128)
+            assert close(inv, ref)
+
 
 class TestInverse:
     def test_multiply_back(self):

@@ -166,6 +166,21 @@ class TestLogm:
         bound = 1e-8 * np.linalg.norm(a) * max(1.0, kappa)
         assert np.linalg.norm(expm(lg) - a) <= bound
 
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e12])
+    def test_square_root_guard_is_scale_invariant(self, scale):
+        # the root of s * a is sqrt(s) times the root of a, so scaling must
+        # not turn an accepted input into a refused one
+        eps = 5e-3
+        t = np.array(
+            [[-1.0 + eps * 1j, 1.0], [0.0, -1.0 - eps * 1j]], dtype=complex
+        )
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))[0]
+        a = scale * (q @ t @ q.T)
+        lg = logm(a)
+        kappa = matfuncs.eigenvector_condition_estimate(linalg.schur_decompose(a))
+        bound = 1e-8 * np.linalg.norm(a) * max(1.0, kappa)
+        assert np.linalg.norm(expm(lg) - a) <= bound
+
     def test_square_root_guard_rejects_blown_up_root(self):
         # the root's coupling entry 1 / (sqrt(l1) + sqrt(l2)) ~ 1.7e8 is past
         # the entry limit, independently of the cluster guard in logm

@@ -133,6 +133,8 @@ class TestSolveThreeLayer:
         inst = admitted_instance(2, seed=66)
         with pytest.raises(ValueError):
             solver.solve_three_layer(inst, alpha=alpha)
+        with pytest.raises(ValueError):
+            solver.compute_z(inst.y1, inst.y2, alpha)
 
     def test_z_satisfies_definition(self):
         inst = admitted_instance(4, seed=77)
