@@ -67,28 +67,34 @@ GRADIENT_MODES = ("analytic", "finite-difference")
 
 @dataclass(frozen=True)
 class Activation:
-    """Entry-wise activation with its derivative, both vectorized."""
+    """Entry-wise activation with its derivative, both vectorized.
+
+    ``derivative`` takes the activation's output ``s = apply(p)``, not
+    ``p``, and returns sigma'(p).
+    """
 
     kind: str
     apply: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]
 
 
-# relu'(0) = 0 by convention.
+# Each derivative is written in terms of the activation's output
+# s = apply(p), which the forward pass already holds. relu'(0) = 0 by
+# convention (s > 0 exactly when p > 0).
 RELU = Activation(
     "relu",
     lambda p: np.maximum(p, 0.0),
-    lambda p: (p > 0.0).astype(np.float64),
+    lambda s: (s > 0.0).astype(np.float64),
 )
 SIGMOID = Activation(
     "sigmoid",
     lambda p: expit(p),
-    lambda p: expit(p) * (1.0 - expit(p)),
+    lambda s: s * (1.0 - s),
 )
 IDENTITY = Activation(
     "identity",
     lambda p: np.asarray(p, dtype=np.float64),
-    lambda p: np.ones_like(p, dtype=np.float64),
+    lambda s: np.ones_like(s, dtype=np.float64),
 )
 
 ACTIVATIONS = {a.kind: a for a in (RELU, SIGMOID, IDENTITY)}
@@ -154,8 +160,8 @@ def baseline_denominator(inst: ProblemInstance) -> float:
 
 @dataclass(frozen=True)
 class _Forward:
-    p1: np.ndarray
-    p2: np.ndarray
+    s1: np.ndarray  # sigma(W X1)
+    s2: np.ndarray  # sigma(W X2)
     factors: object  # real LU of sigma(W X2)
     m: np.ndarray  # sigma(W X2)^-1 sigma(W X1)
     r: np.ndarray  # Y1 - Y2 m
@@ -167,18 +173,18 @@ class _Forward:
 
 def _forward(w, quad, activation, rcond_floor):
     x1, x2, y1, y2 = quad
-    p1 = w @ x1
-    p2 = w @ x2
-    factors = lu_factor(activation.apply(p2))
+    s1 = activation.apply(w @ x1)
+    s2 = activation.apply(w @ x2)
+    factors = lu_factor(s2)
     if factors.rcond <= rcond_floor:
         raise ActivationSingularError(
             f"sigma(W X2) is near singular (rcond {factors.rcond:.3e} <= "
             f"{rcond_floor:g})",
             factors.rcond,
         )
-    m = lu_solve(factors, activation.apply(p1))
+    m = lu_solve(factors, s1)
     r = y1 - y2 @ m
-    return _Forward(p1=p1, p2=p2, factors=factors, m=m, r=r)
+    return _Forward(s1=s1, s2=s2, factors=factors, m=m, r=r)
 
 
 def _fd_gradient(w, quad, activation, rcond_floor, step: float = FD_STEP):
@@ -233,8 +239,8 @@ def _gradient_from_forward(fwd: _Forward, quad, activation) -> np.ndarray:
     u = lu_solve(fwd.factors, y2.T @ fwd.r, trans=1)
     v = u @ fwd.m.T
     return 2.0 * (
-        (v * activation.derivative(fwd.p2)) @ x2.T
-        - (u * activation.derivative(fwd.p1)) @ x1.T
+        (v * activation.derivative(fwd.s2)) @ x2.T
+        - (u * activation.derivative(fwd.s1)) @ x1.T
     )
 
 

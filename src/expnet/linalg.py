@@ -4,17 +4,18 @@ and the repo-wide matrix JSON format.
 
 Matrices are plain ``numpy.ndarray`` values. :func:`cmatrix` is the
 validating constructor of complex128 matrices; it returns a read-only
-array so matrix values behave as immutable data. The LU routines keep the
-field of their input: real input is factored and solved in float64,
-complex input in complex128. All operations here are pure functions of
-their inputs: repeated calls on identical inputs return bit-identical
-results (BLAS summation order is fixed within one build).
+array so matrix values behave as immutable data. The LU routines call
+LAPACK directly and keep the field of their input: real input is factored
+and solved in float64, complex input in complex128. All operations here
+are pure functions of their inputs: repeated calls on identical inputs
+return bit-identical results (BLAS summation order is fixed within one
+build).
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,26 +92,34 @@ class LuFactors:
     rcond: float
 
 
+@functools.cache
+def _lapack(dtype: np.dtype):
+    """LAPACK getrf, gecon and getrs for one field, looked up once."""
+    return scipy.linalg.get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=dtype)
+
+
 def lu_factor(a: CMatrix) -> LuFactors:
     """LU-factor a square matrix with partial pivoting.
 
     The factors have the input's field: float64 for real input (LAPACK
-    dgetrf/dgecon), complex128 for complex input (zgetrf/zgecon).
-    Never fails on singular input: exact singularity is reported through
-    ``rcond == 0``. The estimate is the LAPACK 1-norm reciprocal
-    condition number computed from the factors.
+    dgetrf/dgecon), complex128 for complex input (zgetrf/zgecon). The
+    routines are called directly from handles cached per field.
+    Never fails on singular input: exact singularity (a zero pivot,
+    getrf ``info > 0``) is reported through ``rcond == 0``. The estimate
+    is the LAPACK 1-norm reciprocal condition number computed from the
+    factors.
     """
     _check_square(a)
     dtype = np.complex128 if np.iscomplexobj(a) else np.float64
     a = np.ascontiguousarray(a, dtype=dtype)
-    anorm = float(np.linalg.norm(a, 1)) if a.size else 0.0
-    with warnings.catch_warnings():
-        # exact zero pivots are reported via rcond, not a warning
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    if anorm == 0.0 or np.any(np.diagonal(lu) == 0):
+    if a.size == 0:
+        # getrf rejects n = 0 (and prints the complaint to stderr)
+        return LuFactors(lu=a.copy(), piv=np.zeros(0, dtype=np.int32), rcond=0.0)
+    getrf, gecon, _ = _lapack(a.dtype)
+    lu, piv, info = getrf(a)
+    anorm = float(np.abs(a).sum(axis=0).max())
+    if info > 0 or anorm == 0.0:
         return LuFactors(lu=lu, piv=piv, rcond=0.0)
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
     rcond, info = gecon(lu, anorm, norm="1")
     if info != 0:  # pragma: no cover - illegal-argument path
         raise ValueError(f"gecon failed with info={info}")
@@ -120,13 +129,21 @@ def lu_factor(a: CMatrix) -> LuFactors:
 def lu_solve(factors: LuFactors, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """Solve ``A x = b`` from :func:`lu_factor` output.
 
-    ``trans=1`` solves ``A^T x = b`` instead; ``trans=2`` the conjugate
-    transpose (LAPACK convention). The solution is real when both the
-    factors and ``b`` are.
+    ``b`` is one vector or a 2-D block of columns. ``trans=1`` solves
+    ``A^T x = b`` instead; ``trans=2`` the conjugate transpose (LAPACK
+    convention). LAPACK getrs runs directly from the handle cached for
+    the field of the factors and ``b`` together: the solution is real
+    when both are, and complex128 (real factors promoted) otherwise.
     """
-    return scipy.linalg.lu_solve(
-        (factors.lu, factors.piv), b, trans=trans, check_finite=False
-    )
+    b = np.asarray(b)
+    dtype = np.result_type(factors.lu, b)
+    if b.size == 0:  # getrs rejects n = 0
+        return np.empty(b.shape, dtype=dtype)
+    getrs = _lapack(dtype)[2]
+    x, info = getrs(factors.lu.astype(dtype, copy=False), factors.piv, b, trans=trans)
+    if info != 0:  # pragma: no cover - illegal-argument path
+        raise ValueError(f"getrs failed with info={info}")
+    return x
 
 
 def inverse(a: CMatrix, rcond_floor: float = DEFAULT_RCOND_FLOOR) -> CMatrix:

@@ -1,9 +1,11 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 from expnet import errors, experiment as xp, linalg, solver
@@ -18,14 +20,18 @@ class TestActivations:
         p = np.array([[-2.0, 0.0], [3.0, -0.5]])
         assert_array_equal(xp.RELU.apply(p), [[0.0, 0.0], [3.0, 0.0]])
         # subgradient convention: derivative at 0 is 0
-        assert_array_equal(xp.RELU.derivative(p), [[0.0, 0.0], [1.0, 0.0]])
+        assert_array_equal(
+            xp.RELU.derivative(xp.RELU.apply(p)), [[0.0, 0.0], [1.0, 0.0]]
+        )
 
     def test_sigmoid_matches_formula(self):
         p = np.linspace(-30, 30, 13).reshape(1, -1)
         expected = 1.0 / (1.0 + np.exp(-p))
         assert_allclose(xp.SIGMOID.apply(p), expected, rtol=1e-12)
         assert_allclose(
-            xp.SIGMOID.derivative(p), expected * (1 - expected), rtol=1e-12
+            xp.SIGMOID.derivative(xp.SIGMOID.apply(p)),
+            expected * (1 - expected),
+            rtol=1e-12,
         )
 
     def test_sigmoid_saturation_is_finite(self):
@@ -37,7 +43,9 @@ class TestActivations:
     def test_identity(self):
         p = np.array([[1.5, -2.0]])
         assert_array_equal(xp.IDENTITY.apply(p), p)
-        assert_array_equal(xp.IDENTITY.derivative(p), np.ones_like(p))
+        assert_array_equal(
+            xp.IDENTITY.derivative(xp.IDENTITY.apply(p)), np.ones_like(p)
+        )
 
     def test_lookup(self):
         assert xp.get_activation("relu") is xp.RELU
@@ -263,6 +271,43 @@ class TestRunExperiment:
             xp.ExperimentConfig(dim=3, steps=5, seeds=(1, 2), gradient_mode=mode)
         )
         assert dtypes and all(dtype == np.float64 for dtype in dtypes)
+
+    @pytest.mark.parametrize("mode", xp.GRADIENT_MODES)
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu"])
+    def test_traces_match_the_scipy_lu_route(self, monkeypatch, activation, mode):
+        # the LU layer calls LAPACK directly; the same routines reached
+        # through scipy.linalg's wrappers must give byte-identical traces
+        def scipy_lu_factor(a):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+            anorm = np.linalg.norm(a, 1)
+            if anorm == 0.0 or np.any(np.diagonal(lu) == 0):
+                return linalg.LuFactors(lu=lu, piv=piv, rcond=0.0)
+            gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
+            rcond, _ = gecon(lu, anorm, norm="1")
+            return linalg.LuFactors(lu=lu, piv=piv, rcond=float(rcond))
+
+        def scipy_lu_solve(factors, b, trans=0):
+            return scipy.linalg.lu_solve((factors.lu, factors.piv), b, trans=trans)
+
+        def scipy_inverse(a):
+            return scipy_lu_solve(scipy_lu_factor(a), np.eye(a.shape[0]))
+
+        steps = 40 if mode == "analytic" else 8
+        cfg = xp.ExperimentConfig(
+            dim=4, activation=activation, steps=steps, seeds=(1, 2, 3),
+            gradient_mode=mode,
+        )
+        direct = xp.run_experiment(cfg)
+        monkeypatch.setattr(xp, "lu_factor", scipy_lu_factor)
+        monkeypatch.setattr(xp, "lu_solve", scipy_lu_solve)
+        monkeypatch.setattr(xp, "inverse", scipy_inverse)
+        reference = xp.run_experiment(cfg)
+        for got, ref in zip(direct.runs, reference.runs):
+            got_bytes = np.asarray(got.s_values).tobytes()
+            assert got_bytes == np.asarray(ref.s_values).tobytes()
+            assert got.w_resamples == ref.w_resamples
 
     def test_fd_mode_tracks_analytic(self):
         seeds = (3,)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,29 @@ class TestLu:
             inv, ref = linalg.inverse(a), linalg.inverse(a + 0j)
             assert (inv.dtype, ref.dtype) == (np.float64, np.complex128)
             assert close(inv, ref)
+
+    def test_real_factors_complex_rhs(self):
+        # a complex right-hand side promotes real factors: the solution is
+        # complex128 and equals the complex route, with no ComplexWarning
+        for seed in range(5):
+            a = linalg.random_matrix(6, seed=seed, kind="real-gaussian").real
+            rng = np.random.default_rng(seed + 70)
+            b = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+            real, cplx = linalg.lu_factor(a), linalg.lu_factor(a + 0j)
+            for trans in (0, 1, 2):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    x = linalg.lu_solve(real, b, trans=trans)
+                ref = linalg.lu_solve(cplx, b, trans=trans)
+                assert x.dtype == np.complex128
+                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_empty_matrix_is_quiet(self, capfd):
+        f = linalg.lu_factor(np.zeros((0, 0)))
+        assert f.rcond == 0.0
+        assert f.lu.shape == (0, 0)
+        assert linalg.lu_solve(f, np.zeros((0, 2))).shape == (0, 2)
+        assert capfd.readouterr() == ("", "")
 
 
 class TestInverse:
