@@ -8,7 +8,6 @@ import math
 import numpy as np
 
 from expnet import check_commuting_product, expm, jordan_block_log, logm, random_matrix
-from expnet.matfuncs import BranchSpec
 
 np.set_printoptions(precision=4, suppress=True, linewidth=100)
 
@@ -27,7 +26,7 @@ print("||expm(logm(a)) - a|| / ||a|| =",
       np.linalg.norm(expm(lg) - a) / np.linalg.norm(a))
 
 # a matrix has infinitely many logarithms; branches differ by 2*pi*i*k
-lg1 = logm(a, BranchSpec(1))
+lg1 = logm(a, 1)
 print("branch 1 minus principal (should be 2*pi*i*I):")
 print(lg1 - lg)
 print("branch 1 still exponentiates back: ",

@@ -16,7 +16,6 @@ from expnet import (
     solve_three_layer,
     verify,
 )
-from expnet.matfuncs import BranchSpec
 
 np.set_printoptions(precision=4, suppress=True, linewidth=100)
 
@@ -50,7 +49,7 @@ for alpha in (0.5, 2.0, math.e, 20.0):
 
 print("\n== logarithm branches give further distinct solutions ==")
 for offset in (-1, 0, 2):
-    w = solve_three_layer(inst, branch=BranchSpec(offset))
+    w = solve_three_layer(inst, branch=offset)
     rep = verify(w, inst)
     print(f"branch {offset:+d}: residuals {rep.residual1:.2e} {rep.residual2:.2e} "
           f"||Z||={np.linalg.norm(w.z):.2f}")

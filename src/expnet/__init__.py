@@ -16,6 +16,7 @@ from .errors import (
     ExpnetError,
     IllConditionedError,
     InstanceRejectedError,
+    MatrixFormatError,
     MaxResampleError,
     NearSingularError,
     SingularInputError,
@@ -55,7 +56,6 @@ from .linalg import (
 )
 from .matfuncs import (
     PRINCIPAL,
-    BranchSpec,
     check_commuting_product,
     expm,
     jordan_block_log,

@@ -32,12 +32,13 @@ from .errors import (
     DimensionError,
     IllConditionedError,
     InstanceRejectedError,
+    MatrixFormatError,
     MaxResampleError,
     NearSingularError,
     SingularInputError,
 )
 from .linalg import load_matrix, save_matrix
-from .matfuncs import BranchSpec, expm, logm
+from .matfuncs import expm, logm
 
 
 def parse_seeds(text: str) -> tuple:
@@ -96,7 +97,7 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     inst = solver.load_instance(args.instance)
     weights = solver.solve_three_layer(
-        inst, alpha=args.alpha, branch=BranchSpec(args.branch_offset)
+        inst, alpha=args.alpha, branch=args.branch_offset
     )
     report = solver.verify(weights, inst, tol=args.tol)
     base = _instance_dir(args.instance)
@@ -155,7 +156,7 @@ def cmd_expm(args) -> int:
 
 def cmd_logm(args) -> int:
     a = load_matrix(args.input)
-    lg = logm(a, BranchSpec(args.branch_offset))
+    lg = logm(a, args.branch_offset)
     out = _matfun_out(args, "logm")
     save_matrix(out, lg)
     norm_a = float(np.linalg.norm(a))
@@ -172,7 +173,6 @@ def cmd_experiment(args) -> int:
         steps=args.steps,
         seeds=parse_seeds(args.seeds),
         learning_rate=args.lr,
-        gradient_mode=args.gradient_mode,
         rcond_floor=args.rcond_floor,
     )
     trace = xp.run_experiment(config)
@@ -300,12 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="learning rate on the normalized score (default 1e-3 * dim)",
     )
     p.add_argument(
-        "--gradient-mode",
-        choices=xp.GRADIENT_MODES,
-        default="analytic",
-        help="gradient computation (default analytic)",
-    )
-    p.add_argument(
         "--rcond-floor",
         type=float,
         default=xp.ACTIVATION_RCOND_FLOOR,
@@ -319,10 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Exit code per error class; the first matching row wins, so a
-#: json.JSONDecodeError (a ValueError) exits 4, not 2.
+#: json.JSONDecodeError or a MatrixFormatError (both ValueErrors) exits 4,
+#: not 2.
 _EXIT_CODES = (
     ((InstanceRejectedError, MaxResampleError, ComplexInputError), 3),
-    ((json.JSONDecodeError, KeyError, DimensionError, OSError), 4),
+    ((json.JSONDecodeError, MatrixFormatError, KeyError, DimensionError, OSError), 4),
     ((SingularInputError, IllConditionedError, NearSingularError, ConvergenceError,
       ActivationSingularError, OverflowError, FloatingPointError), 5),
     ((ValueError,), 2),

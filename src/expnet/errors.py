@@ -17,6 +17,12 @@ class DimensionError(ExpnetError):
     """Operands have incompatible or non-square shapes."""
 
 
+class MatrixFormatError(ExpnetError, ValueError):
+    """A matrix JSON object is malformed: fields missing, a non-integer
+    ``dim``, or entries that are not a d x d array of finite [re, im]
+    number pairs."""
+
+
 class NearSingularError(ExpnetError):
     """A matrix failed its reciprocal-condition floor.
 

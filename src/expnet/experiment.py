@@ -42,7 +42,7 @@ from .errors import (
     MaxResampleError,
 )
 from .linalg import inverse, lu_factor, lu_solve
-from .solver import ProblemInstance, draw_instance
+from .solver import MAX_RESAMPLES, ProblemInstance, draw_instance
 
 #: Largest imaginary magnitude tolerated when coercing inputs to reals.
 COMPLEX_TOLERANCE = 1e-12
@@ -53,16 +53,11 @@ ACTIVATION_RCOND_FLOOR = 1e-6
 #: Per-unit-dimension default learning rate (lr = LEARNING_RATE_SCALE * dim).
 LEARNING_RATE_SCALE = 1e-3
 
-#: Central-difference step for the finite-difference gradient path.
+#: Central-difference step of :func:`two_layer_gradient_fd`.
 FD_STEP = 1e-6
-
-#: Consecutive rejected draws (instances or inits) before giving up.
-MAX_CONSECUTIVE_RESAMPLES = 100
 
 #: A run is flagged divergent when final s exceeds this multiple of initial s.
 DIVERGENCE_FACTOR = 10.0
-
-GRADIENT_MODES = ("analytic", "finite-difference")
 
 
 @dataclass(frozen=True)
@@ -187,22 +182,6 @@ def _forward(w, quad, activation, rcond_floor):
     return _Forward(s1=s1, s2=s2, factors=factors, m=m, r=r)
 
 
-def _fd_gradient(w, quad, activation, rcond_floor, step: float = FD_STEP):
-    """Central finite-difference gradient of N (2 d^2 forward passes)."""
-    w = np.array(w, dtype=np.float64)
-    grad = np.zeros_like(w)
-    for i in range(w.shape[0]):
-        for j in range(w.shape[1]):
-            saved = w[i, j]
-            w[i, j] = saved + step
-            plus = _forward(w, quad, activation, rcond_floor).objective
-            w[i, j] = saved - step
-            minus = _forward(w, quad, activation, rcond_floor).objective
-            w[i, j] = saved
-            grad[i, j] = (plus - minus) / (2.0 * step)
-    return grad
-
-
 def two_layer_objective(
     w, inst: ProblemInstance, activation="sigmoid",
     rcond_floor: float = ACTIVATION_RCOND_FLOOR,
@@ -258,12 +237,26 @@ def two_layer_gradient(
 
 def two_layer_gradient_fd(
     w, inst: ProblemInstance, activation="sigmoid",
-    rcond_floor: float = ACTIVATION_RCOND_FLOOR, step: float = FD_STEP,
+    rcond_floor: float = ACTIVATION_RCOND_FLOOR,
 ) -> np.ndarray:
-    """Central finite-difference gradient of N (2 d^2 objective calls)."""
-    return _fd_gradient(
-        _as_real(w, "w"), _real_quad(inst), get_activation(activation), rcond_floor, step
-    )
+    """Central finite-difference gradient of N (2 d^2 forward passes).
+
+    An oracle for :func:`two_layer_gradient`; the descent never calls it.
+    """
+    activation = get_activation(activation)
+    quad = _real_quad(inst)
+    w = np.array(_as_real(w, "w"))
+    grad = np.zeros_like(w)
+    for i in range(w.shape[0]):
+        for j in range(w.shape[1]):
+            saved = w[i, j]
+            w[i, j] = saved + FD_STEP
+            plus = _forward(w, quad, activation, rcond_floor).objective
+            w[i, j] = saved - FD_STEP
+            minus = _forward(w, quad, activation, rcond_floor).objective
+            w[i, j] = saved
+            grad[i, j] = (plus - minus) / (2.0 * FD_STEP)
+    return grad
 
 
 @dataclass(frozen=True)
@@ -275,7 +268,6 @@ class ExperimentConfig:
     steps: int = 2000
     seeds: tuple = tuple(range(1, 11))
     learning_rate: float | None = None  # None -> LEARNING_RATE_SCALE * dim
-    gradient_mode: str = "analytic"
     rcond_floor: float = ACTIVATION_RCOND_FLOOR
 
     def __post_init__(self):
@@ -286,11 +278,6 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         get_activation(self.activation)
-        if self.gradient_mode not in GRADIENT_MODES:
-            raise ValueError(
-                f"gradient_mode must be one of {GRADIENT_MODES}, "
-                f"got {self.gradient_mode!r}"
-            )
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
     @property
@@ -351,7 +338,7 @@ def _admitted_real_instance(rng, config: ExperimentConfig, seed: int):
             else:
                 return inst, denom, resamples
         resamples += 1
-        if resamples >= MAX_CONSECUTIVE_RESAMPLES:
+        if resamples >= MAX_RESAMPLES:
             raise MaxResampleError(
                 f"seed {seed}: no admitted instance after {resamples} draws"
             )
@@ -381,10 +368,7 @@ def _descend(w0, quad, denom, config: ExperimentConfig, activation) -> list:
         series.append(s)
         if step == config.steps:
             break
-        if config.gradient_mode == "analytic":
-            grad = _gradient_from_forward(fwd, quad, activation)
-        else:
-            grad = _fd_gradient(w, quad, activation, config.rcond_floor)
+        grad = _gradient_from_forward(fwd, quad, activation)
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"non-finite gradient at step {step}")
         w -= (lr / denom) * grad
@@ -403,7 +387,7 @@ def _run_seed(seed: int, config: ExperimentConfig) -> SeedRun:
             series = _descend(w0, quad, denom, config, activation)
         except (ActivationSingularError, FloatingPointError):
             w_resamples += 1
-            if w_resamples >= MAX_CONSECUTIVE_RESAMPLES:
+            if w_resamples >= MAX_RESAMPLES:
                 raise MaxResampleError(
                     f"seed {seed}: {w_resamples} consecutive failed descents"
                 ) from None
@@ -437,7 +421,6 @@ def config_to_json(config: ExperimentConfig) -> dict:
         "seeds": list(config.seeds),
         "learning_rate": config.effective_learning_rate,
         "learning_rate_was_default": config.learning_rate is None,
-        "gradient_mode": config.gradient_mode,
         "rcond_floor": config.rcond_floor,
     }
 
@@ -461,12 +444,13 @@ def trace_summary(trace: ExperimentTrace) -> dict:
     }
 
 
-def write_trace_csv(trace: ExperimentTrace, csv_path, config_path=None) -> str:
+def write_trace_csv(trace: ExperimentTrace, csv_path) -> str:
     """Write the per-step scores as CSV plus a JSON sidecar.
 
     CSV columns are ``seed,step,s`` with one row per recorded step. The
-    sidecar (default: same basename with a .config.json suffix) holds the
-    full configuration and per-seed summaries.
+    sidecar, the CSV path with its extension replaced by ``.config.json``,
+    holds the full configuration and per-seed summaries. Returns the
+    sidecar path.
     """
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -474,11 +458,9 @@ def write_trace_csv(trace: ExperimentTrace, csv_path, config_path=None) -> str:
         for run in trace.runs:
             for step, s in enumerate(run.s_values):
                 writer.writerow([run.seed, step, float(s)])
-    if config_path is None:
-        base, _ = os.path.splitext(str(csv_path))
-        config_path = base + ".config.json"
+    sidecar_path = os.path.splitext(str(csv_path))[0] + ".config.json"
     sidecar = {"config": config_to_json(trace.config), "summary": trace_summary(trace)}
-    with open(config_path, "w", encoding="utf-8") as fh:
+    with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
-    return str(config_path)
+    return sidecar_path

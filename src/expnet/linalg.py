@@ -21,7 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceError, DimensionError, NearSingularError
+from .errors import (
+    ConvergenceError,
+    DimensionError,
+    MatrixFormatError,
+    NearSingularError,
+)
 
 #: A validated dense complex square matrix (see :func:`cmatrix`).
 CMatrix = np.ndarray
@@ -244,24 +249,35 @@ def matrix_to_json(a: CMatrix) -> dict:
     """Encode a matrix as the shared JSON object."""
     _check_square(a)
     a = np.asarray(a, dtype=np.complex128)
-    return {
-        "dim": a.shape[0],
-        "entries": [[[float(v.real), float(v.imag)] for v in row] for row in a],
-    }
+    return {"dim": a.shape[0], "entries": np.stack((a.real, a.imag), axis=-1).tolist()}
 
 
 def matrix_from_json(obj: dict) -> CMatrix:
-    """Decode the shared JSON object back into a validated matrix."""
+    """Decode the shared JSON object back into a validated matrix.
+
+    Raises
+    ------
+    MatrixFormatError
+        Unless ``obj`` has an integer ``dim`` and ``entries`` that form a
+        ``(dim, dim, 2)`` array of finite numbers.
+    """
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
-        raise ValueError("matrix JSON must have 'dim' and 'entries' fields")
+        raise MatrixFormatError("matrix JSON must be an object with 'dim' and 'entries' fields")
     dim = obj["dim"]
-    rows = obj["entries"]
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise ValueError(f"entries do not form a {dim} x {dim} matrix")
-    a = np.array(
-        [[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128
-    )
-    return cmatrix(a)
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise MatrixFormatError(f"matrix JSON 'dim' must be an integer, got {dim!r}")
+    try:
+        pairs = np.asarray(obj["entries"])
+    except ValueError:  # ragged nesting
+        pairs = None
+    if pairs is None or pairs.shape != (dim, dim, 2) or pairs.dtype.kind not in "iuf":
+        raise MatrixFormatError(
+            f"entries do not form a {dim} x {dim} matrix of [re, im] number pairs"
+        )
+    pairs = np.ascontiguousarray(pairs, dtype=np.float64)
+    require_finite(pairs, "matrix JSON", MatrixFormatError)
+    # each [re, im] pair is the memory layout of one complex128
+    return cmatrix(pairs.view(np.complex128)[..., 0])
 
 
 def save_matrix(path, a: CMatrix) -> None:

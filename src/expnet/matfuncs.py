@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -64,20 +63,8 @@ SQRT_ENTRY_LIMIT = 1e8
 STRADDLE_COUPLING_LIMIT = 200.0
 
 
-@dataclass(frozen=True)
-class BranchSpec:
-    """Logarithm branch choice.
-
-    ``branch_offset = k`` selects log lam = ln|lam| + i*(arg lam + 2*pi*k)
-    for every eigenvalue, principal arg in (-pi, pi]. The default k = 0 is
-    the principal branch. Any k yields a valid logarithm because the
-    matrix exponential maps all of them back to the same matrix.
-    """
-
-    branch_offset: int = 0
-
-
-PRINCIPAL = BranchSpec(0)
+#: The principal logarithm branch, k = 0 (see :func:`logm`).
+PRINCIPAL = 0
 
 
 def _principal_log(z) -> np.ndarray:
@@ -219,8 +206,13 @@ def eigenvector_condition_estimate(form: SchurForm) -> float:
     return max(1.0, offdiag / gap)
 
 
-def logm(a: CMatrix, branch: BranchSpec = PRINCIPAL) -> CMatrix:
+def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
     """Matrix logarithm on the requested branch.
+
+    ``branch = k`` selects log lam = ln|lam| + i*(arg lam + 2*pi*k) for
+    every eigenvalue, principal arg in (-pi, pi]. The default k = 0 is
+    the principal branch. Any k yields a valid logarithm because the
+    matrix exponential maps all of them back to the same matrix.
 
     Accuracy contract: ``||expm(logm(a)) - a||_F <= 1e-8 * ||a||_F *
     max(1, kappa)`` with kappa from
@@ -247,8 +239,8 @@ def logm(a: CMatrix, branch: BranchSpec = PRINCIPAL) -> CMatrix:
         raise SingularInputError("zero eigenvalue; no logarithm exists")
     _reject_straddling_clusters(form)
     log_t = _logm_triu(form.t)
-    if branch.branch_offset:
-        log_t = log_t + (2j * math.pi * branch.branch_offset) * np.eye(
+    if branch:
+        log_t = log_t + (2j * math.pi * branch) * np.eye(
             a.shape[0], dtype=np.complex128
         )
     return form.q @ log_t @ form.q.conj().T

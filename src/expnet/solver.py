@@ -36,7 +36,7 @@ from .linalg import (
     require_finite,
     save_matrix,
 )
-from .matfuncs import PRINCIPAL, BranchSpec, expm, logm
+from .matfuncs import PRINCIPAL, expm, logm
 
 #: rcond threshold all five instance matrices must clear to be admitted.
 ADMISSION_RCOND = 1e-3
@@ -49,6 +49,10 @@ MIN_ALPHA_GAP = 1e-3
 
 #: Default pass tolerance on the relative interpolation residuals.
 DEFAULT_TOLERANCE = 1e-6
+
+#: Consecutive rejected random draws (instances, or descent starts in the
+#: experiment) before giving up with MaxResampleError.
+MAX_RESAMPLES = 100
 
 _RCOND_KEYS = ("x1", "x2", "y1", "y2", "x1_minus_x2")
 
@@ -117,23 +121,22 @@ def random_instance(
     seed: int,
     kind: str = "complex-gaussian",
     threshold: float = ADMISSION_RCOND,
-    max_tries: int = 100,
 ) -> ProblemInstance:
     """Sample Gaussian instances until one is admitted.
 
     Deterministic for fixed arguments: a single PCG64 stream seeded with
     ``seed`` supplies every draw. Raises :class:`MaxResampleError` after
-    ``max_tries`` consecutive rejections.
+    ``MAX_RESAMPLES`` consecutive rejections.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(max_tries):
+    for _ in range(MAX_RESAMPLES):
         inst = draw_instance(rng, dim, kind)
         if inst.admitted(threshold):
             return inst
     raise MaxResampleError(
-        f"no admitted instance in {max_tries} tries (dim={dim}, seed={seed}, "
+        f"no admitted instance in {MAX_RESAMPLES} tries (dim={dim}, seed={seed}, "
         f"threshold={threshold:g})"
     )
 
@@ -204,13 +207,14 @@ def solve_block_diagonal(inst: ProblemInstance) -> tuple[CMatrix, CMatrix]:
 
 
 def compute_z(
-    y1: CMatrix, y2: CMatrix, alpha: float, branch: BranchSpec = PRINCIPAL
+    y1: CMatrix, y2: CMatrix, alpha: float, branch: int = PRINCIPAL
 ) -> CMatrix:
     """A matrix Z with expm(Z) = alpha * Y1^-1 Y2.
 
     Existence is guaranteed for invertible labels because the matrix
-    exponential is onto the invertible matrices; ``branch`` picks among
-    the infinitely many logarithms.
+    exponential is onto the invertible matrices; ``branch`` is the
+    integer k of :func:`~expnet.matfuncs.logm` that picks among the
+    infinitely many logarithms.
 
     Raises
     ------
@@ -224,7 +228,7 @@ def compute_z(
 def solve_three_layer(
     inst: ProblemInstance,
     alpha: float = DEFAULT_ALPHA,
-    branch: BranchSpec = PRINCIPAL,
+    branch: int = PRINCIPAL,
 ) -> ThreeLayerWeights:
     """Closed-form weights interpolating both pairs of an admitted instance.
 

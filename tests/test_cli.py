@@ -1,5 +1,7 @@
 import json
 import math
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -19,6 +21,25 @@ def test_module_entry_point():
     )
     assert out.returncode == 0
     assert "usage" in out.stdout
+
+
+def readme_commands():
+    """argv of every ``expnet`` line in README's "Command line" block."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv and argv[0] == "expnet":
+            yield argv[1:]
+
+
+def test_readme_commands_parse():
+    commands = list(readme_commands())
+    assert len(commands) >= 7
+    parser = cli.build_parser()
+    for argv in commands:
+        assert callable(parser.parse_args(argv).func), argv
 
 
 @pytest.fixture
@@ -133,6 +154,7 @@ class TestSolveVerifyEval:
         (errors.MaxResampleError("exhausted"), 3),
         (errors.ComplexInputError("complex"), 3),
         (json.JSONDecodeError("bad json", "{", 0), 4),
+        (errors.MatrixFormatError("entries"), 4),
         (KeyError("files"), 4),
         (errors.DimensionError("shape"), 4),
         (OSError("unreadable"), 4),
@@ -185,6 +207,23 @@ class TestMatrixFunctions:
         linalg.save_matrix(workdir / "s.json", np.diag([1.0, 0.0]))
         assert run_cli("logm", "--in", "s.json") == 5
         assert "singular" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"dim": 1, "entries": [[["x", 0.0]]]}',
+            '{"dim": 1, "entries": 5}',
+            '{"dim": 1, "entries": [[[1.0, 0.0, 5.0]]]}',
+            '{"entries": [[[1.0, 0.0]]]}',
+            '[[[1.0, 0.0]]]',
+            '{"dim": 1, "entries": [[[NaN, 0.0]]]}',
+        ],
+        ids=["string-entry", "scalar-entries", "triple", "no-dim", "list", "nan"],
+    )
+    def test_malformed_matrix_file_exit_4(self, workdir, capsys, body):
+        (workdir / "m.json").write_text(body)
+        assert run_cli("expm", "--in", "m.json") == 4
+        assert "error [MatrixFormatError]" in capsys.readouterr().err
 
     def test_branch_offset_flag(self, workdir):
         a = linalg.random_matrix(2, seed=5)

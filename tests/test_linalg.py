@@ -207,12 +207,21 @@ class TestMatrixJson:
             linalg.matrix_from_json({"entries": []})
 
     def test_file_bytes_are_compact_json(self, tmp_path):
-        a = linalg.random_matrix(32, seed=6)
         path = tmp_path / "m.json"
-        linalg.save_matrix(path, a)
-        expected = json.dumps(linalg.matrix_to_json(a)) + "\n"
-        assert path.read_bytes() == expected.encode("utf-8")
-        assert_array_equal(linalg.load_matrix(path), a)
+        for a in (
+            linalg.random_matrix(32, seed=6),
+            np.array([  # signed zeros, subnormals, the ends of the float range
+                [complex(-0.0, 5e-324), complex(1e308, -1e308)],
+                [complex(-1e308, 0.0), complex(2.5e-310, -0.0)],
+            ]),
+            np.eye(3),
+        ):
+            # reference encoder: one Python float pair per entry, row by row
+            entries = [[[float(v.real), float(v.imag)] for v in row] for row in a]
+            expected = json.dumps({"dim": a.shape[0], "entries": entries}) + "\n"
+            linalg.save_matrix(path, a)
+            assert path.read_bytes() == expected.encode("utf-8")
+            assert_array_equal(linalg.load_matrix(path), a)
 
     def test_save_deterministic(self, tmp_path):
         a = linalg.random_matrix(3, seed=5)

@@ -3,10 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from expnet import errors, linalg, matfuncs
-from expnet.matfuncs import PRINCIPAL, BranchSpec, expm, jordan_block_log, logm
+from expnet.matfuncs import PRINCIPAL, expm, jordan_block_log, logm
 
 from conftest import oracle_expm, random_complex, taylor_expm
 
@@ -110,13 +110,14 @@ class TestLogm:
     def test_branch_offset_shifts_by_2pi(self):
         a = linalg.random_matrix(4, seed=17)
         base = logm(a)
-        shifted = logm(a, BranchSpec(1))
+        assert_array_equal(logm(a, PRINCIPAL), base)
+        shifted = logm(a, 1)
         assert_allclose(
             shifted - base, 2j * math.pi * np.eye(4), rtol=0, atol=1e-12
         )
         # every branch is still a logarithm
         assert np.linalg.norm(expm(shifted) - a) <= 1e-8 * np.linalg.norm(a)
-        down = logm(a, BranchSpec(-2))
+        down = logm(a, -2)
         assert np.linalg.norm(expm(down) - a) <= 1e-8 * np.linalg.norm(a)
 
     def test_singular_rejected(self):

@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from expnet import errors, linalg, solver
-from expnet.matfuncs import PRINCIPAL, BranchSpec
 
 from conftest import oracle_expm
 
@@ -110,7 +109,7 @@ class TestSolveThreeLayer:
         # any logarithm branch yields a valid interpolant
         inst = admitted_instance(3, seed=44)
         for offset in (-1, 0, 1, 3):
-            w = solver.solve_three_layer(inst, branch=BranchSpec(offset))
+            w = solver.solve_three_layer(inst, branch=offset)
             rep = solver.verify(w, inst, tol=1e-7)
             assert rep.passed, (offset, rep.residual1, rep.residual2)
 
