@@ -99,8 +99,8 @@ class LuFactors:
 
 @functools.cache
 def _lapack(dtype: np.dtype):
-    """LAPACK getrf, gecon and getrs for one field, looked up once."""
-    return scipy.linalg.get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=dtype)
+    """LAPACK getrf, gecon, getrs and trtrs for one field, looked up once."""
+    return scipy.linalg.get_lapack_funcs(("getrf", "gecon", "getrs", "trtrs"), dtype=dtype)
 
 
 def lu_factor(a: CMatrix) -> LuFactors:
@@ -120,7 +120,7 @@ def lu_factor(a: CMatrix) -> LuFactors:
     if a.size == 0:
         # getrf rejects n = 0 (and prints the complaint to stderr)
         return LuFactors(lu=a.copy(), piv=np.zeros(0, dtype=np.int32), rcond=0.0)
-    getrf, gecon, _ = _lapack(a.dtype)
+    getrf, gecon = _lapack(a.dtype)[:2]
     lu, piv, info = getrf(a)
     anorm = float(np.abs(a).sum(axis=0).max())
     if info > 0 or anorm == 0.0:

@@ -2,12 +2,14 @@
 
 ``expm`` is scipy's Pade-13 scaling and squaring (Al-Mohy & Higham, SISC
 2009) behind the package's error contract. ``logm`` works on the complex
-Schur form: repeated principal square roots of the triangular factor
-(scipy's blocked Schur square root, Deadman, Higham & Ralha 2013) until
-the Mercator series log(I + K) = K - K^2/2 + K^3/3 - ... converges fast,
-then squaring the result back up. Logarithm branches are selected per
-eigenvalue as log lam = ln|lam| + i*(arg lam + 2*pi*k) with principal arg
-in (-pi, pi].
+Schur form by inverse scaling and squaring (Al-Mohy & Higham, *Improved
+inverse scaling and squaring algorithms for the matrix logarithm*, SISC
+2012): principal square roots of the triangular factor T (scipy's blocked
+Schur square root, Deadman, Higham & Ralha 2013) until X = T^(1/2^s) - I
+is small enough for an [m/m] Pade approximant of degree m <= 7, that
+approximant in its Gauss-Legendre partial-fraction form, then a factor
+2^s. Logarithm branches are selected per eigenvalue as
+log lam = ln|lam| + i*(arg lam + 2*pi*k) with principal arg in (-pi, pi].
 
 ``jordan_block_log`` is the exact finite-series logarithm of a single
 Jordan block; it exists as an independent oracle for ``logm``.
@@ -15,6 +17,8 @@ Jordan block; it exists as an independent oracle for ``logm``.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import warnings
 
@@ -31,6 +35,7 @@ from .linalg import (
     CMatrix,
     SchurForm,
     _check_square,
+    _lapack,
     lu_factor,
     require_finite,
     schur_decompose,
@@ -39,13 +44,13 @@ from .linalg import (
 #: expm refuses inputs above this 1-norm: e^||a|| is far beyond float range.
 EXPM_NORM_LIMIT = 1e8
 
-# logm: square-root until ||T - I||_1 is inside the Mercator region, then
-# sum until the next term falls below 1e-16 relative (at most ~30 terms
-# once ||K||_1 <= 0.25; the cap is never the effective stop).
-LOGM_SQRT_TARGET = 0.25
+#: theta_m of Al-Mohy & Higham (SISC 2012), Table 2.1, m = 1..7: the
+#: [m/m] Pade approximant r_m(X) to log(I + X) is accurate to unit
+#: roundoff when alpha_2(X) = max(||X^2||^(1/2), ||X^3||^(1/3)) <= theta_m.
+LOGM_PADE_THETA = (1.59e-5, 2.31e-3, 1.94e-2, 6.21e-2, 1.28e-1, 2.06e-1, 2.88e-1)
+
+#: Square roots logm may take before giving up with ConvergenceError.
 LOGM_MAX_SQRTS = 60
-MERCATOR_RELATIVE_TOL = 1e-16
-MERCATOR_MAX_TERMS = 96
 
 #: rcond floor below which logm refuses its input as singular.
 LOGM_RCOND_FLOOR = 1e-10
@@ -61,6 +66,16 @@ SQRT_ENTRY_LIMIT = 1e8
 #: (d 2 to 8), all up to 200 met the logm contract 30x over; misses began
 #: near 640.
 STRADDLE_COUPLING_LIMIT = 200.0
+
+#: Largest entry (i, j) the logarithm of the triangular factor may have
+#: when eigenvalues i..j include a pair astride the branch cut. A pair at
+#: the coupling limit has |log t_ij| = coupling * |2*pi*i / gap| = 2*pi *
+#: 200. A chain of k coupled eigenvalues astride the cut grows the
+#: entries like (coupling/gap)^(k-1) with every pair under the limit:
+#: over 5,500 random inputs with near-defective blocks (d up to 6), the
+#: log missed its roundtrip contract only past 6,000. Random admitted
+#: instances stay below 30.
+STRADDLE_LOG_LIMIT = 2.0 * math.pi * STRADDLE_COUPLING_LIMIT
 
 
 #: The principal logarithm branch, k = 0 (see :func:`logm`).
@@ -108,14 +123,14 @@ def _sqrtm_triu(t: np.ndarray) -> np.ndarray:
     above ``SQRT_ENTRY_LIMIT`` times its largest diagonal magnitude: two
     coupled eigenvalues straddle the branch cut. The test is relative, so
     scaling the input by s scales the root by sqrt(s) and leaves the
-    verdict unchanged.
+    verdict unchanged. scipy reports an ill-conditioned root as a
+    ``LinAlgWarning``; the caller decides whether to hear it.
     """
-    with warnings.catch_warnings():
-        # a blown-up root is reported below, not as a warning
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        r = scipy.linalg.sqrtm(t)
-    limit = SQRT_ENTRY_LIMIT * np.abs(np.diagonal(r)).max()
-    if not np.all(np.isfinite(r)) or np.any(np.abs(np.triu(r, 1)) > limit):
+    r = scipy.linalg.sqrtm(t)
+    magnitude = np.abs(r)
+    # the diagonal holds roots of finite numbers, so it never sets the
+    # verdict; a NaN anywhere fails the comparison
+    if not magnitude.max() <= SQRT_ENTRY_LIMIT * np.diagonal(magnitude).max():
         raise IllConditionedError(
             "two coupled eigenvalues straddle the logarithm branch cut; "
             "the triangular square root blew up"
@@ -123,66 +138,114 @@ def _sqrtm_triu(t: np.ndarray) -> np.ndarray:
     return r
 
 
-def _reject_straddling_clusters(form: SchurForm) -> None:
+def _eigenvalue_gaps(eig: np.ndarray) -> np.ndarray:
+    """Matrix of pairwise eigenvalue distances |lam_i - lam_j|."""
+    diff = eig[:, None] - eig[None, :]
+    # rounds like scalar abs(); np.abs of a complex array can differ in
+    # the last bit
+    return np.hypot(diff.real, diff.imag)
+
+
+def _span_max(upper: np.ndarray) -> np.ndarray:
+    """out[i, j] = max of upper[k, l] over i <= k <= l <= j, for an upper
+    triangle: a running max along each row, then from the bottom row up."""
+    return np.maximum.accumulate(
+        np.maximum.accumulate(upper, axis=1)[::-1], axis=0
+    )[::-1]
+
+
+def _reject_straddling_clusters(form: SchurForm) -> np.ndarray:
     """Refuse inputs with two eigenvalues on different branch sheets whose
     coupling through the triangular factor exceeds
     ``STRADDLE_COUPLING_LIMIT`` times their gap.
 
-    The coupling of eigenvalues i < j is the largest strictly-upper entry
-    of ``t[i:j+1, i:j+1]``.
+    Pair i < j straddles the cut when the principal arguments differ by
+    more than pi; its coupling is the largest strictly-upper entry of
+    ``t[i:j+1, i:j+1]``. Returns the mask of pairs i < j whose span
+    ``i..j`` holds a straddling pair, for the check on the logarithm.
     """
     eig = form.eigenvalues
-    upper = np.abs(np.triu(form.t, 1))
-    # coupling[i, j] = max |t_kl| over i <= k < l <= j: a running max along
-    # each row, then from the bottom row up
-    coupling = np.maximum.accumulate(
-        np.maximum.accumulate(upper, axis=1)[::-1], axis=0
-    )[::-1]
     args = _principal_log(eig).imag
-    straddle = np.abs(args[:, None] - args[None, :]) > math.pi
-    gap = np.abs(eig[:, None] - eig[None, :])
+    index = np.arange(len(eig))
+    straddle = (np.abs(args[:, None] - args[None, :]) > math.pi) & (
+        index[:, None] < index[None, :]
+    )
+    # t is upper triangular, so this leaves its strictly-upper part
+    upper = np.abs(form.t)
+    np.fill_diagonal(upper, 0.0)
+    coupling = _span_max(upper)
+    gap = _eigenvalue_gaps(eig)
     bad = straddle & (coupling > STRADDLE_COUPLING_LIMIT * gap)
-    if np.any(bad):
+    if bad.any():
         i, j = np.argwhere(bad)[0]
         raise IllConditionedError(
             f"eigenvalues {eig[i]:.6g} and {eig[j]:.6g} form a coupled "
             f"cluster (gap {gap[i, j]:.3e}) straddling the log branch cut"
         )
+    return _span_max(straddle)
+
+
+@functools.cache
+def _pade_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of degree m, moved to [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(m)
+    return (nodes + 1.0) / 2.0, weights / 2.0
 
 
 def _logm_triu(t: np.ndarray) -> np.ndarray:
     """Principal logarithm of an upper-triangular matrix.
 
-    Inverse scaling and squaring: principal square roots until
-    ``||T - I||_1 <= LOGM_SQRT_TARGET``, Mercator series on K = T - I,
-    then multiply by 2^s. The diagonal is finally reset to exact scalar
-    logs of the original eigenvalues.
+    Inverse scaling and squaring after Al-Mohy & Higham (SISC 2012),
+    Algorithm 4.1 without its extra-root heuristic. Principal square
+    roots are taken until X = T^(1/2^s) - I has
+    alpha_2(X) = max(||X^2||_1^(1/2), ||X^3||_1^(1/3)) <= theta_7 (the
+    powers are only formed once the diagonal of X, a lower bound, is
+    inside). The smallest m with alpha_2(X) <= theta_m picks the [m/m]
+    Pade approximant, evaluated as sum_j w_j (I + x_j X)^-1 X over the
+    Gauss-Legendre nodes x_j and weights w_j on [0, 1]: m triangular
+    solves. The result is multiplied by 2^s, and its diagonal is finally
+    reset to exact scalar logs of the original eigenvalues.
     """
     dim = t.shape[0]
     eye = np.eye(dim, dtype=np.complex128)
     # fold -0.0 imaginary parts onto +0.0: the root of -1 must be +i, on
     # the sheet of the exact diagonal logs below
     t = np.asarray(t, dtype=np.complex128) + 0.0
+    theta = LOGM_PADE_THETA[-1]
     work = t
-    squarings = 0
-    while np.linalg.norm(work - eye, 1) > LOGM_SQRT_TARGET:
-        if squarings >= LOGM_MAX_SQRTS:
-            raise ConvergenceError(
-                "square-root chain failed to reach the Mercator convergence region"
-            )
-        work = _sqrtm_triu(work)
-        squarings += 1
-    k = work - eye
-    term = k.copy()
-    acc = k.copy()
-    for m in range(2, MERCATOR_MAX_TERMS + 1):
-        term = term @ k
-        acc += ((-1.0) ** (m + 1) / m) * term
-        if np.linalg.norm(term, 1) / m <= MERCATOR_RELATIVE_TOL * np.linalg.norm(acc, 1):
-            break
-    out = acc * (2.0**squarings)
+    roots = 0
+    with warnings.catch_warnings():
+        # a blown-up root is reported by _sqrtm_triu, not as a warning
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        while True:
+            x = work - eye
+            # the spectral radius of X is a lower bound on alpha_2(X)
+            if np.abs(np.diagonal(x)).max() <= theta:
+                x2 = x @ x
+                alpha = max(
+                    np.linalg.norm(x2, 1) ** 0.5,
+                    np.linalg.norm(x2 @ x, 1) ** (1.0 / 3.0),
+                )
+                if alpha <= theta:
+                    break
+            if roots >= LOGM_MAX_SQRTS:
+                raise ConvergenceError(
+                    "square-root chain failed to reach the Pade region"
+                )
+            work = _sqrtm_triu(work)
+            roots += 1
+    nodes, weights = _pade_nodes(bisect.bisect_left(LOGM_PADE_THETA, alpha) + 1)
+    trtrs = _lapack(x.dtype)[3]
+    out = np.zeros_like(x)
+    # (I + x_j X)^-1 X for every node x_j: each I + x_j X is upper triangular
+    for shifted, weight in zip(eye + nodes[:, None, None] * x, weights):
+        y, info = trtrs(shifted, x)
+        if info != 0:  # pragma: no cover - |x_j x_ii| < 0.3, never singular
+            raise ValueError(f"trtrs failed with info={info}")
+        out += weight * y
+    out *= 2.0**roots
     np.fill_diagonal(out, np.log(np.diagonal(t)))
-    return np.triu(out)
+    return out
 
 
 def eigenvector_condition_estimate(form: SchurForm) -> float:
@@ -194,15 +257,13 @@ def eigenvector_condition_estimate(form: SchurForm) -> float:
     roundtrip bound (the computation itself still proceeds).
     """
     eig = form.eigenvalues
-    dim = len(eig)
     offdiag = float(np.linalg.norm(np.triu(form.t, 1)))
-    if dim < 2 or offdiag == 0.0:
+    if len(eig) < 2 or offdiag == 0.0:
         return 1.0
-    gaps = [
-        abs(eig[i] - eig[j]) for i in range(dim) for j in range(i + 1, dim)
-    ]
+    gaps = _eigenvalue_gaps(eig)
+    np.fill_diagonal(gaps, np.inf)
     floor = np.finfo(float).eps * max(abs(eig).max(), 1e-300)
-    gap = max(min(gaps), floor)
+    gap = max(float(gaps.min()), floor)
     return max(1.0, offdiag / gap)
 
 
@@ -223,8 +284,13 @@ def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
     SingularInputError
         rcond at or below 1e-10, or a zero eigenvalue in the Schur form.
     IllConditionedError
-        Coupled near-multiple eigenvalues straddling the branch cut; no
-        accurate primary logarithm exists there.
+        Coupled near-multiple eigenvalues straddling the branch cut (a
+        pair coupled above 200 times its gap, or an entry of the
+        triangular log above ``STRADDLE_LOG_LIMIT`` whose span holds such
+        a pair); no accurate primary logarithm exists there.
+    ConvergenceError
+        The square-root chain did not reach the Pade region within
+        ``LOGM_MAX_SQRTS`` roots.
     """
     _check_square(a)
     a = np.asarray(a, dtype=np.complex128)
@@ -237,8 +303,14 @@ def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
     form = schur_decompose(a)
     if np.any(form.eigenvalues == 0):
         raise SingularInputError("zero eigenvalue; no logarithm exists")
-    _reject_straddling_clusters(form)
+    spans_cut = _reject_straddling_clusters(form)
     log_t = _logm_triu(form.t)
+    # the pair test misses longer coupled chains astride the cut
+    if np.abs(log_t[spans_cut]).max(initial=0.0) > STRADDLE_LOG_LIMIT:
+        raise IllConditionedError(
+            "a coupled eigenvalue cluster straddles the log branch cut; "
+            f"its logarithm has an entry above {STRADDLE_LOG_LIMIT:.0f}"
+        )
     if branch:
         log_t = log_t + (2j * math.pi * branch) * np.eye(
             a.shape[0], dtype=np.complex128

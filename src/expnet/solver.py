@@ -23,7 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InstanceRejectedError, MaxResampleError
+from .errors import (
+    DimensionError,
+    InstanceRejectedError,
+    MatrixFormatError,
+    MaxResampleError,
+)
 from .linalg import (
     CMatrix,
     cmatrix,
@@ -54,7 +59,11 @@ DEFAULT_TOLERANCE = 1e-6
 #: experiment) before giving up with MaxResampleError.
 MAX_RESAMPLES = 100
 
-_RCOND_KEYS = ("x1", "x2", "y1", "y2", "x1_minus_x2")
+# matrices of an instance directory, and fields of a weights file
+_INSTANCE_FILES = ("x1", "x2", "y1", "y2")
+_WEIGHT_FIELDS = ("alpha", "w1", "w2", "w3", "z")
+
+_RCOND_KEYS = _INSTANCE_FILES + ("x1_minus_x2",)
 
 # names of the internal identities verify audits, in report order
 _IDENTITY_CHECKS = (
@@ -372,11 +381,26 @@ def weights_to_json(weights: ThreeLayerWeights) -> dict:
 
 
 def weights_from_json(obj: dict) -> ThreeLayerWeights:
+    """Decode :func:`weights_to_json` output.
+
+    Raises
+    ------
+    MatrixFormatError
+        Unless ``obj`` is an object with matrices ``w1``, ``w2``, ``w3``
+        and ``z`` and a real number ``alpha``.
+    """
+    if not isinstance(obj, dict) or not set(_WEIGHT_FIELDS) <= obj.keys():
+        raise MatrixFormatError(
+            f"weights JSON must be an object with fields {', '.join(_WEIGHT_FIELDS)}"
+        )
+    alpha = obj["alpha"]
+    if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
+        raise MatrixFormatError(f"weights JSON 'alpha' must be a number, got {alpha!r}")
     return ThreeLayerWeights(
         w1=matrix_from_json(obj["w1"]),
         w2=matrix_from_json(obj["w2"]),
         w3=matrix_from_json(obj["w3"]),
-        alpha=float(obj["alpha"]),
+        alpha=float(alpha),
         z=matrix_from_json(obj["z"]),
     )
 
@@ -406,7 +430,7 @@ def save_instance(directory, inst: ProblemInstance, manifest_extra: dict | None 
     """Write x1/x2/y1/y2 JSON files plus an instance.json manifest."""
     os.makedirs(directory, exist_ok=True)
     files = {}
-    for name in ("x1", "x2", "y1", "y2"):
+    for name in _INSTANCE_FILES:
         fname = f"{name}.json"
         save_matrix(os.path.join(directory, fname), getattr(inst, name))
         files[name] = fname
@@ -429,14 +453,27 @@ def load_instance(path) -> ProblemInstance:
 
     Conditioning estimates are recomputed from the matrices on load; the
     manifest's recorded values are informational.
+
+    Raises
+    ------
+    MatrixFormatError
+        Unless the manifest is an object whose ``files`` maps each of
+        x1, x2, y1 and y2 to a file name, or a matrix file is malformed.
     """
     if os.path.isdir(path):
         path = os.path.join(path, "instance.json")
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, dict) or not all(
+        isinstance(files.get(name), str) for name in _INSTANCE_FILES
+    ):
+        raise MatrixFormatError(
+            "instance manifest must be an object whose 'files' maps "
+            f"{', '.join(_INSTANCE_FILES)} to file names"
+        )
     base = os.path.dirname(os.path.abspath(path))
     x1, x2, y1, y2 = (
-        load_matrix(os.path.join(base, manifest["files"][name]))
-        for name in ("x1", "x2", "y1", "y2")
+        load_matrix(os.path.join(base, files[name])) for name in _INSTANCE_FILES
     )
     return make_instance(x1, x2, y1, y2)

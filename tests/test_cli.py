@@ -225,6 +225,44 @@ class TestMatrixFunctions:
         assert run_cli("expm", "--in", "m.json") == 4
         assert "error [MatrixFormatError]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda w: [1, 2],
+            lambda w: {k: v for k, v in w.items() if k != "z"},
+            lambda w: {**w, "alpha": "x"},
+            lambda w: {**w, "alpha": True},
+            lambda w: {**w, "alpha": None},
+            lambda w: {**w, "w1": 5},
+        ],
+        ids=["list", "no-z", "string-alpha", "bool-alpha", "null-alpha", "scalar-w1"],
+    )
+    def test_malformed_weights_file_exit_4(self, workdir, capsys, edit):
+        run_cli("gen", "--dim", "2", "--seed", "3", "--out", "inst")
+        assert run_cli("solve", "--instance", "inst") == 0
+        weights = json.loads((workdir / "inst/weights.json").read_text())
+        (workdir / "w.json").write_text(json.dumps(edit(weights)))
+        assert run_cli("verify", "--instance", "inst", "--weights", "w.json") == 4
+        assert "error [MatrixFormatError]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            [1],
+            {"dim": 2},
+            {"files": 5},
+            {"files": {"x1": 5}},
+            {"files": {"x1": "x1.json", "x2": "x2.json", "y1": "y1.json"}},
+            {"files": {"x1": "x1.json", "x2": "x2.json", "y1": "y1.json", "y2": ["y2.json"]}},
+        ],
+        ids=["list", "no-files", "scalar-files", "number-name", "no-y2", "list-name"],
+    )
+    def test_malformed_instance_manifest_exit_4(self, workdir, capsys, manifest):
+        run_cli("gen", "--dim", "2", "--seed", "3", "--out", "inst")
+        (workdir / "inst/instance.json").write_text(json.dumps(manifest))
+        assert run_cli("solve", "--instance", "inst") == 4
+        assert "error [MatrixFormatError]" in capsys.readouterr().err
+
     def test_branch_offset_flag(self, workdir):
         a = linalg.random_matrix(2, seed=5)
         linalg.save_matrix(workdir / "a.json", a)

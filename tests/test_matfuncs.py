@@ -1,11 +1,13 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from expnet import errors, linalg, matfuncs
+from expnet import errors, linalg, matfuncs, solver
 from expnet.matfuncs import PRINCIPAL, expm, jordan_block_log, logm
 
 from conftest import oracle_expm, random_complex, taylor_expm
@@ -73,7 +75,87 @@ class TestExpm:
         assert_allclose(expm(a) @ expm(-a), np.eye(5), atol=1e-12)
 
 
+def mpmath_logm(a, digits=40):
+    """V log(D) V^-1 from mpmath's eigendecomposition at ``digits`` digits:
+    an oracle that shares no code with logm (distinct eigenvalues only)."""
+    with mpmath.workdps(digits):
+        eigenvalues, v = mpmath.eig(mpmath.matrix(a.tolist()))
+        out = v * mpmath.diag([mpmath.log(e) for e in eigenvalues]) * mpmath.inverse(v)
+        return np.array(out.tolist(), dtype=complex)
+
+
+def label_quotient(dim, seed):
+    """e * Y1^-1 Y2 of an admitted instance: the one logm input of a solve."""
+    inst = solver.random_instance(dim, seed)
+    return math.e * np.linalg.solve(inst.y1, inst.y2)
+
+
+def roundtrip_bound(a):
+    """Right side of logm's documented roundtrip contract."""
+    kappa = matfuncs.eigenvector_condition_estimate(linalg.schur_decompose(a))
+    return 1e-8 * np.linalg.norm(a) * max(1.0, kappa)
+
+
+@st.composite
+def logm_inputs(draw):
+    """Random d <= 6 inputs over twelve decades of scale. Most with d >= 2
+    hold a Jordan block of size >= 2, split by 1e-12 to 1e-1, whose
+    eigenvalue sits on, beside or away from the branch cut."""
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    block = draw(st.integers(0, dim)) if dim >= 2 else 0
+    if block >= 2:
+        angle = draw(st.sampled_from([math.pi, -math.pi + 1e-9, 3.0, 0.5, 0.0]))
+        split = 10.0 ** draw(st.integers(-12, -1))
+        jordan = np.exp(1j * angle) * np.eye(block) + np.eye(block, k=1)
+        jordan += np.diag(split * rng.standard_normal(block) * (1 + 1j))
+        a[:block, :block] = jordan
+        a[block:, :block] = 0
+        mix = np.eye(dim) + 0.5 * rng.standard_normal((dim, dim))
+        a = mix @ a @ np.linalg.inv(mix)
+    return a * 10.0 ** draw(st.integers(-6, 6))
+
+
 class TestLogm:
+    def test_square_root_count(self, monkeypatch):
+        # Al-Mohy & Higham's alpha_2(X) <= theta_7 stop, counted on the
+        # solver's own logm inputs
+        roots = []
+        real_sqrtm = matfuncs._sqrtm_triu
+
+        def counting_sqrtm(t):
+            roots.append(t.shape[0])
+            return real_sqrtm(t)
+
+        monkeypatch.setattr(matfuncs, "_sqrtm_triu", counting_sqrtm)
+        totals = {}
+        for dim in (4, 16, 32):
+            for seed in range(1, 6):
+                logm(label_quotient(dim, seed))
+            totals[dim] = roots.count(dim)
+        assert totals == {4: 23, 16: 26, 32: 30}
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_matches_mpmath_oracle(self, dim):
+        for seed in (1, 2, 3):
+            a = label_quotient(dim, seed)
+            truth = mpmath_logm(a)
+            assert np.linalg.norm(logm(a) - truth) <= 1e-13 * np.linalg.norm(truth)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(a=logm_inputs(), branch=st.integers(-3, 3))
+    def test_meets_contract_or_raises(self, a, branch):
+        try:
+            lg = logm(a, branch)
+        except (
+            errors.SingularInputError,
+            errors.IllConditionedError,
+            errors.ConvergenceError,
+        ):
+            return
+        assert np.linalg.norm(expm(lg) - a) <= roundtrip_bound(a)
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 6, 10])
     def test_roundtrip_exp_of_log(self, dim):
         for seed in range(8):
@@ -166,6 +248,23 @@ class TestLogm:
         kappa = matfuncs.eigenvector_condition_estimate(linalg.schur_decompose(a))
         bound = 1e-8 * np.linalg.norm(a) * max(1.0, kappa)
         assert np.linalg.norm(expm(lg) - a) <= bound
+
+    @pytest.mark.parametrize(
+        "size, delta", [(3, 0.05), (4, 0.05), (4, 0.02), (5, 0.05), (6, 0.05)]
+    )
+    def test_rotated_straddling_chain_meets_contract_or_raises(self, size, delta):
+        # eigenvalues alternate across the cut near -1, each coupled to the
+        # next with coupling/gap at most 1 / (2 delta) = 25, under the pair
+        # limit; the chain still grows the log like (coupling/gap)^(size-1)
+        steps = np.array([(-1) ** k * (k // 2 + 1) for k in range(size)])
+        t = np.diag(np.exp(1j * (math.pi + delta * steps))) + np.eye(size, k=1)
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((size, size)))[0]
+        a = q @ t @ q.T
+        try:
+            lg = logm(a)
+        except errors.IllConditionedError:
+            return
+        assert np.linalg.norm(expm(lg) - a) <= roundtrip_bound(a)
 
     @pytest.mark.parametrize("scale", [1.0, 1e6, 1e12])
     def test_square_root_guard_is_scale_invariant(self, scale):
@@ -271,6 +370,25 @@ class TestCommutingProduct:
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         b = np.array([[0.0, 0.0], [1.0, 0.0]])
         assert matfuncs.check_commuting_product(a, b) > 1e-3
+
+    def test_conditioning_estimate_matches_pair_loop(self):
+        # the gap matrix must give the smallest pairwise gap bit for bit
+        def pair_loop_kappa(form):
+            eig = form.eigenvalues
+            dim = len(eig)
+            offdiag = float(np.linalg.norm(np.triu(form.t, 1)))
+            if dim < 2 or offdiag == 0.0:
+                return 1.0
+            gaps = [abs(eig[i] - eig[j]) for i in range(dim) for j in range(i + 1, dim)]
+            floor = np.finfo(float).eps * max(abs(eig).max(), 1e-300)
+            return max(1.0, offdiag / max(min(gaps), floor))
+
+        inputs = [random_complex(seed, seed % 7 + 1) for seed in range(30)]
+        inputs += [np.array([[1.0, 1e6], [0.0, 1.0 + 1e-9]]), np.eye(3)]
+        inputs += [np.array([[-1.0 + 1e-3j, 1.0], [0.0, -1.0 - 1e-3j]])]
+        for a in inputs:
+            form = linalg.schur_decompose(a)
+            assert matfuncs.eigenvector_condition_estimate(form) == pair_loop_kappa(form)
 
     def test_conditioning_estimate_orders(self):
         diag = linalg.schur_decompose(np.diag([1.0, 2.0, 3.0]))
