@@ -83,7 +83,7 @@ RELU = Activation(
 )
 SIGMOID = Activation(
     "sigmoid",
-    lambda p: expit(p),
+    expit,
     lambda s: s * (1.0 - s),
 )
 IDENTITY = Activation(
@@ -153,20 +153,13 @@ def baseline_denominator(inst: ProblemInstance) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class _Forward:
-    s1: np.ndarray  # sigma(W X1)
-    s2: np.ndarray  # sigma(W X2)
-    factors: object  # real LU of sigma(W X2)
-    m: np.ndarray  # sigma(W X2)^-1 sigma(W X1)
-    r: np.ndarray  # Y1 - Y2 m
-
-    @property
-    def objective(self) -> float:
-        return float(np.sum(self.r * self.r))
-
-
 def _forward(w, quad, activation, rcond_floor):
+    """Forward pass at W: returns N(W) and the state the gradient needs.
+
+    The state is the tuple (S1, S2, LU of S2, M, R) with S_i = sigma(W X_i),
+    M = S2^-1 S1 and R = Y1 - Y2 M, in the order
+    :func:`_gradient_from_forward` unpacks it.
+    """
     x1, x2, y1, y2 = quad
     s1 = activation.apply(w @ x1)
     s2 = activation.apply(w @ x2)
@@ -179,7 +172,7 @@ def _forward(w, quad, activation, rcond_floor):
         )
     m = lu_solve(factors, s1)
     r = y1 - y2 @ m
-    return _Forward(s1=s1, s2=s2, factors=factors, m=m, r=r)
+    return float((r * r).sum()), (s1, s2, factors, m, r)
 
 
 def two_layer_objective(
@@ -188,8 +181,7 @@ def two_layer_objective(
 ) -> float:
     """N(W) = ||Y1 - Y2 sigma(W X2)^-1 sigma(W X1)||_F^2."""
     activation = get_activation(activation)
-    fwd = _forward(_as_real(w, "w"), _real_quad(inst), activation, rcond_floor)
-    return fwd.objective
+    return _forward(_as_real(w, "w"), _real_quad(inst), activation, rcond_floor)[0]
 
 
 def two_layer_s_score(
@@ -202,8 +194,8 @@ def two_layer_s_score(
     )
 
 
-def _gradient_from_forward(fwd: _Forward, quad, activation) -> np.ndarray:
-    """Gradient of N at the forward state.
+def _gradient_from_forward(state, quad, activation) -> np.ndarray:
+    """Gradient of N at the state :func:`_forward` returned.
 
     With P1 = W X1, P2 = W X2, S_i = sigma(P_i), M = S2^-1 S1 and
     R = Y1 - Y2 M:
@@ -215,11 +207,12 @@ def _gradient_from_forward(fwd: _Forward, quad, activation) -> np.ndarray:
     where . is the entry-wise product.
     """
     x1, x2, y1, y2 = quad
-    u = lu_solve(fwd.factors, y2.T @ fwd.r, trans=1)
-    v = u @ fwd.m.T
+    s1, s2, factors, m, r = state
+    u = lu_solve(factors, y2.T @ r, trans=1)
+    v = u @ m.T
     return 2.0 * (
-        (v * activation.derivative(fwd.s2)) @ x2.T
-        - (u * activation.derivative(fwd.s1)) @ x1.T
+        (v * activation.derivative(s2)) @ x2.T
+        - (u * activation.derivative(s1)) @ x1.T
     )
 
 
@@ -231,8 +224,8 @@ def two_layer_gradient(
     activation = get_activation(activation)
     w = _as_real(w, "w")
     quad = _real_quad(inst)
-    fwd = _forward(w, quad, activation, rcond_floor)
-    return _gradient_from_forward(fwd, quad, activation)
+    state = _forward(w, quad, activation, rcond_floor)[1]
+    return _gradient_from_forward(state, quad, activation)
 
 
 def two_layer_gradient_fd(
@@ -251,9 +244,9 @@ def two_layer_gradient_fd(
         for j in range(w.shape[1]):
             saved = w[i, j]
             w[i, j] = saved + FD_STEP
-            plus = _forward(w, quad, activation, rcond_floor).objective
+            plus = _forward(w, quad, activation, rcond_floor)[0]
             w[i, j] = saved - FD_STEP
-            minus = _forward(w, quad, activation, rcond_floor).objective
+            minus = _forward(w, quad, activation, rcond_floor)[0]
             w[i, j] = saved
             grad[i, j] = (plus - minus) / (2.0 * FD_STEP)
     return grad
@@ -357,21 +350,22 @@ def _descend(w0, quad, denom, config: ExperimentConfig, activation) -> list:
     ActivationSingularError when sigma(W X2) degenerates; the caller
     resamples W and retries.
     """
-    lr = config.effective_learning_rate
+    step_size = config.effective_learning_rate / denom
+    steps, rcond_floor = config.steps, config.rcond_floor
     w = np.array(w0, dtype=np.float64, copy=True)
     series = []
-    for step in range(config.steps + 1):
-        fwd = _forward(w, quad, activation, config.rcond_floor)
-        s = fwd.objective / denom
+    for step in range(steps + 1):
+        objective, state = _forward(w, quad, activation, rcond_floor)
+        s = objective / denom
         if not math.isfinite(s):
             raise FloatingPointError(f"non-finite score at step {step}")
         series.append(s)
-        if step == config.steps:
+        if step == steps:
             break
-        grad = _gradient_from_forward(fwd, quad, activation)
-        if not np.all(np.isfinite(grad)):
+        grad = _gradient_from_forward(state, quad, activation)
+        if not np.isfinite(grad).all():
             raise FloatingPointError(f"non-finite gradient at step {step}")
-        w -= (lr / denom) * grad
+        w -= step_size * grad
     return series
 
 

@@ -6,10 +6,14 @@ Matrices are plain ``numpy.ndarray`` values. :func:`cmatrix` is the
 validating constructor of complex128 matrices; it returns a read-only
 array so matrix values behave as immutable data. The LU routines call
 LAPACK directly and keep the field of their input: real input is factored
-and solved in float64, complex input in complex128. All operations here
-are pure functions of their inputs: repeated calls on identical inputs
-return bit-identical results (BLAS summation order is fixed within one
-build).
+and solved in float64, complex input in complex128. The 1-norm that the
+condition estimate needs comes from LAPACK dlange for real input; complex
+input keeps numpy's ``abs``-and-sum, because zlange's modulus differs from
+numpy's in the last bit on about a quarter of random matrices, which would
+move printed rconds. The Schur form calls LAPACK zgees directly too. All
+operations here are pure functions of their inputs: repeated calls on
+identical inputs return bit-identical results (BLAS summation order is
+fixed within one build).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -67,7 +72,7 @@ def cmatrix(entries) -> CMatrix:
 
 def require_finite(a: np.ndarray, what: str = "matrix", error: type = ValueError) -> None:
     """Raise ``error`` unless every entry of ``a``, real or complex, is finite."""
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise error(f"{what} entries must be finite (no NaN/Inf)")
 
 
@@ -97,10 +102,14 @@ class LuFactors:
     rcond: float
 
 
+_ROUTINES = ("getrf", "gecon", "getrs", "trtrs", "lange", "gees")
+
+
 @functools.cache
-def _lapack(dtype: np.dtype):
-    """LAPACK getrf, gecon, getrs and trtrs for one field, looked up once."""
-    return scipy.linalg.get_lapack_funcs(("getrf", "gecon", "getrs", "trtrs"), dtype=dtype)
+def _lapack(dtype: np.dtype) -> SimpleNamespace:
+    """The LAPACK routines of ``_ROUTINES`` for one field, looked up once."""
+    funcs = scipy.linalg.get_lapack_funcs(_ROUTINES, dtype=dtype)
+    return SimpleNamespace(**dict(zip(_ROUTINES, funcs)))
 
 
 def lu_factor(a: CMatrix) -> LuFactors:
@@ -112,20 +121,28 @@ def lu_factor(a: CMatrix) -> LuFactors:
     Never fails on singular input: exact singularity (a zero pivot,
     getrf ``info > 0``) is reported through ``rcond == 0``. The estimate
     is the LAPACK 1-norm reciprocal condition number computed from the
-    factors.
+    factors and the input's 1-norm. That norm comes from dlange for real
+    input and from numpy for complex input: zlange's modulus is not
+    bit-equal to numpy's, and the rconds would move.
     """
     _check_square(a)
-    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
-    a = np.ascontiguousarray(a, dtype=dtype)
+    real = not np.iscomplexobj(a)
+    a = np.ascontiguousarray(a, dtype=np.float64 if real else np.complex128)
     if a.size == 0:
         # getrf rejects n = 0 (and prints the complaint to stderr)
         return LuFactors(lu=a.copy(), piv=np.zeros(0, dtype=np.int32), rcond=0.0)
-    getrf, gecon = _lapack(a.dtype)[:2]
-    lu, piv, info = getrf(a)
-    anorm = float(np.abs(a).sum(axis=0).max())
+    lapack = _lapack(a.dtype)
+    lu, piv, info = lapack.getrf(a)
+    if real:
+        # ||a||_1 = ||a^T||_inf, and a.T is Fortran-ordered, so dlange
+        # reads it without a copy; it sums each column in row order, as
+        # numpy does, so the norm has the same bits
+        anorm = lapack.lange("I", a.T)
+    else:
+        anorm = float(np.abs(a).sum(axis=0).max())
     if info > 0 or anorm == 0.0:
         return LuFactors(lu=lu, piv=piv, rcond=0.0)
-    rcond, info = gecon(lu, anorm, norm="1")
+    rcond, info = lapack.gecon(lu, anorm)  # 1-norm estimate
     if info != 0:  # pragma: no cover - illegal-argument path
         raise ValueError(f"gecon failed with info={info}")
     return LuFactors(lu=lu, piv=piv, rcond=float(rcond))
@@ -140,12 +157,13 @@ def lu_solve(factors: LuFactors, b: np.ndarray, trans: int = 0) -> np.ndarray:
     the field of the factors and ``b`` together: the solution is real
     when both are, and complex128 (real factors promoted) otherwise.
     """
+    lu = factors.lu
     b = np.asarray(b)
-    dtype = np.result_type(factors.lu, b)
+    if b.dtype != lu.dtype:
+        lu = lu.astype(np.result_type(lu, b), copy=False)
     if b.size == 0:  # getrs rejects n = 0
-        return np.empty(b.shape, dtype=dtype)
-    getrs = _lapack(dtype)[2]
-    x, info = getrs(factors.lu.astype(dtype, copy=False), factors.piv, b, trans=trans)
+        return np.empty(b.shape, dtype=lu.dtype)
+    x, info = _lapack(lu.dtype).getrs(lu, factors.piv, b, trans)
     if info != 0:  # pragma: no cover - illegal-argument path
         raise ValueError(f"getrs failed with info={info}")
     return x
@@ -187,19 +205,40 @@ class SchurForm:
     eigenvalues: np.ndarray
 
 
+def _no_sort(*_):  # pragma: no cover - zgees calls it only when sorting
+    return None
+
+
+@functools.cache
+def _gees_lwork(n: int) -> int:
+    """zgees's optimal workspace for order ``n``, from a workspace query."""
+    work = _lapack(np.dtype(np.complex128)).gees(
+        _no_sort, np.zeros((n, n), dtype=np.complex128), lwork=-1
+    )[-2]
+    return int(work[0].real)
+
+
 def schur_decompose(a: CMatrix) -> SchurForm:
     """Complex Schur form via Hessenberg reduction plus shifted QR.
 
-    The strictly lower triangle of ``t`` is exactly zero. Raises
-    :class:`ConvergenceError` if the QR iteration hits the backend sweep
-    cap (about 30 sweeps per eigenvalue) without deflating.
+    LAPACK zgees runs directly from a cached handle, with its optimal
+    workspace queried once per order. The strictly lower triangle of
+    ``t`` is exactly zero. Raises ``ValueError`` on NaN or infinite
+    entries, and :class:`ConvergenceError` if the QR iteration hits the
+    backend sweep cap (about 30 sweeps per eigenvalue) without deflating.
     """
     _check_square(a)
     a = np.ascontiguousarray(a, dtype=np.complex128)
-    try:
-        t, q = scipy.linalg.schur(a, output="complex")
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"QR iteration did not converge: {exc}") from exc
+    require_finite(a)
+    n = a.shape[0]
+    if n == 0:  # zgees rejects n = 0
+        t = q = np.empty((0, 0), dtype=np.complex128)
+    else:
+        t, _, _, q, _, info = _lapack(a.dtype).gees(_no_sort, a, lwork=_gees_lwork(n))
+        if info > 0:
+            raise ConvergenceError(f"QR iteration did not converge (zgees info={info})")
+        if info < 0:  # pragma: no cover - illegal-argument path
+            raise ValueError(f"zgees failed with info={info}")
     t = np.triu(t)
     return SchurForm(q=q, t=t, eigenvalues=np.diagonal(t).copy())
 

@@ -235,7 +235,7 @@ def _logm_triu(t: np.ndarray) -> np.ndarray:
             work = _sqrtm_triu(work)
             roots += 1
     nodes, weights = _pade_nodes(bisect.bisect_left(LOGM_PADE_THETA, alpha) + 1)
-    trtrs = _lapack(x.dtype)[3]
+    trtrs = _lapack(x.dtype).trtrs
     out = np.zeros_like(x)
     # (I + x_j X)^-1 X for every node x_j: each I + x_j X is upper triangular
     for shifted, weight in zip(eye + nodes[:, None, None] * x, weights):

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -298,6 +299,110 @@ class TestRunExperiment:
             got_bytes = np.asarray(got.s_values).tobytes()
             assert got_bytes == np.asarray(ref.s_values).tobytes()
             assert got.w_resamples == ref.w_resamples
+
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu", "identity"])
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_trace_matches_the_pinned_step(self, activation, dim):
+        # the step as written before the descent was trimmed, kept verbatim
+        # on linalg.lu_factor and lu_solve and stepped here by hand: every
+        # float operation, and so every trace byte, must be the same
+        @dataclass(frozen=True)
+        class Forward:
+            s1: np.ndarray
+            s2: np.ndarray
+            factors: object
+            m: np.ndarray
+            r: np.ndarray
+
+            @property
+            def objective(self) -> float:
+                return float(np.sum(self.r * self.r))
+
+        def forward(w, quad, activation, rcond_floor):
+            x1, x2, y1, y2 = quad
+            s1 = activation.apply(w @ x1)
+            s2 = activation.apply(w @ x2)
+            factors = linalg.lu_factor(s2)
+            if factors.rcond <= rcond_floor:
+                raise errors.ActivationSingularError("singular", factors.rcond)
+            m = linalg.lu_solve(factors, s1)
+            r = y1 - y2 @ m
+            return Forward(s1=s1, s2=s2, factors=factors, m=m, r=r)
+
+        def gradient_from_forward(fwd, quad, activation):
+            x1, x2, y1, y2 = quad
+            u = linalg.lu_solve(fwd.factors, y2.T @ fwd.r, trans=1)
+            v = u @ fwd.m.T
+            return 2.0 * (
+                (v * activation.derivative(fwd.s2)) @ x2.T
+                - (u * activation.derivative(fwd.s1)) @ x1.T
+            )
+
+        def descend(w0, quad, denom, lr, steps, act):
+            w = np.array(w0, dtype=np.float64, copy=True)
+            series = []
+            for step in range(steps + 1):
+                fwd = forward(w, quad, act, xp.ACTIVATION_RCOND_FLOOR)
+                s = fwd.objective / denom
+                if not math.isfinite(s):
+                    raise FloatingPointError(step)
+                series.append(s)
+                if step == steps:
+                    break
+                grad = gradient_from_forward(fwd, quad, act)
+                if not np.all(np.isfinite(grad)):
+                    raise FloatingPointError(step)
+                w -= (lr / denom) * grad
+            return series
+
+        def pinned_run(seed, cfg):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            for instance_resamples in range(solver.MAX_RESAMPLES):
+                inst = solver.draw_instance(rng, dim, "real-gaussian")
+                if inst.admitted(cfg.rcond_floor):
+                    try:
+                        denom = xp.baseline_denominator(inst)
+                        break
+                    except errors.InstanceRejectedError:
+                        pass
+            quad = tuple(
+                np.ascontiguousarray(m.real) for m in (inst.x1, inst.x2, inst.y1, inst.y2)
+            )
+            act = xp.get_activation(activation)
+            for w_resamples in range(solver.MAX_RESAMPLES):
+                w0 = rng.normal(0.0, math.sqrt(1.0 / dim), size=(dim, dim))
+                try:
+                    series = descend(
+                        w0, quad, denom, cfg.effective_learning_rate, cfg.steps, act
+                    )
+                except (errors.ActivationSingularError, FloatingPointError):
+                    continue
+                return series, w_resamples, instance_resamples
+
+        cfg = xp.ExperimentConfig(dim=dim, activation=activation, steps=200, seeds=(1, 2))
+        for run in xp.run_experiment(cfg).runs:
+            series, w_resamples, instance_resamples = pinned_run(run.seed, cfg)
+            assert np.asarray(run.s_values).tobytes() == np.asarray(series).tobytes()
+            assert (run.w_resamples, run.instance_resamples) == (
+                w_resamples, instance_resamples
+            )
+
+    def test_one_factor_and_two_solves_per_step(self, monkeypatch):
+        calls = {"lu_factor": 0, "lu_solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(xp, "lu_factor", counted("lu_factor", linalg.lu_factor))
+        monkeypatch.setattr(xp, "lu_solve", counted("lu_solve", linalg.lu_solve))
+        steps = 25
+        run = xp.run_experiment(xp.ExperimentConfig(dim=4, steps=steps, seeds=(1,))).runs[0]
+        assert run.w_resamples == 0
+        assert calls == {"lu_factor": steps + 1, "lu_solve": 2 * steps + 1}
 
     def test_fd_mode_tracks_analytic(self):
         # a reference descent stepped with the finite-difference gradient,

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 from expnet import errors, linalg
@@ -105,6 +106,37 @@ class TestLu:
                 assert x.dtype == np.complex128
                 assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    @staticmethod
+    def numpy_norm_rcond(a):
+        # the 1-norm from numpy, into the same gecon
+        lu = scipy.linalg.get_lapack_funcs("getrf", (a,))(a)[0]
+        anorm = float(np.abs(a).sum(axis=0).max())
+        if anorm == 0.0 or np.any(np.diagonal(lu) == 0):
+            return 0.0
+        gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
+        return float(gecon(lu, anorm, norm="1")[0])
+
+    def test_real_rcond_matches_the_numpy_norm(self):
+        rng = np.random.default_rng(31)
+        cases = [np.zeros((3, 3)), np.arange(16).reshape(4, 4) % 7]
+        for dim in range(1, 41):
+            for _ in range(3):
+                cases.append(rng.standard_normal((dim, dim)) * 10.0 ** rng.integers(-6, 7))
+            wide = rng.standard_normal((dim, 2 * dim))
+            cases += [wide[:, ::2], np.asfortranarray(wide[:, :dim])]
+        for a in cases:
+            ref = self.numpy_norm_rcond(np.ascontiguousarray(a, dtype=np.float64))
+            assert np.float64(linalg.lu_factor(a).rcond).tobytes() == np.float64(ref).tobytes()
+        assert linalg.lu_factor(np.zeros((3, 3))).rcond == 0.0
+
+    def test_complex_rcond_keeps_the_numpy_norm(self):
+        # zlange's modulus is not bit-equal to numpy's; the rcond must be
+        rng = np.random.default_rng(32)
+        for dim in range(1, 41):
+            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            ref = self.numpy_norm_rcond(a)
+            assert np.float64(linalg.lu_factor(a).rcond).tobytes() == np.float64(ref).tobytes()
+
     def test_empty_matrix_is_quiet(self, capfd):
         f = linalg.lu_factor(np.zeros((0, 0)))
         assert f.rcond == 0.0
@@ -156,6 +188,33 @@ class TestSchur:
             ref = eigenvalues_reference(a)
             assert matched_distance(form.eigenvalues, ref) < 1e-8
             assert_allclose(form.eigenvalues, np.diag(form.t))
+
+
+    def test_matches_scipy_schur(self):
+        rng = np.random.default_rng(41)
+        for dim in range(1, 33):
+            for a in (
+                rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)),
+                rng.standard_normal((dim, dim)),
+            ):
+                t, q = scipy.linalg.schur(a.astype(np.complex128), output="complex")
+                form = linalg.schur_decompose(a)
+                assert form.t.tobytes() == t.tobytes()
+                assert form.q.tobytes() == q.tobytes()
+                assert form.eigenvalues.tobytes() == np.diagonal(t).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
+    def test_non_finite_input_raises(self, bad):
+        a = np.eye(3, dtype=np.complex128)
+        a[1, 2] = bad
+        with pytest.raises(ValueError):
+            linalg.schur_decompose(a)
+
+    def test_empty_matrix(self, capfd):
+        form = linalg.schur_decompose(np.zeros((0, 0)))
+        assert form.t.shape == form.q.shape == (0, 0)
+        assert form.eigenvalues.shape == (0,)
+        assert capfd.readouterr() == ("", "")
 
 
 class TestSampling:
