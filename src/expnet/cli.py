@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -38,7 +37,7 @@ from .errors import (
     SingularInputError,
 )
 from .linalg import load_matrix, save_matrix
-from .matfuncs import expm, logm
+from .matfuncs import PRINCIPAL, expm, logm
 
 
 def parse_seeds(text: str) -> tuple:
@@ -61,13 +60,18 @@ def parse_seeds(text: str) -> tuple:
     return tuple(seeds)
 
 
-def _print_report(report: solver.SolveReport) -> None:
+def _report_exit_code(report: solver.SolveReport) -> int:
+    """Print the report; the exit code is 5 when it missed tolerance."""
     print(f"residual1: {report.residual1:.6e}")
     print(f"residual2: {report.residual2:.6e}")
     for name, value in report.identity_checks.items():
         print(f"{name}: {value:.6e}")
     print(f"admitted: {report.admitted}")
     print(f"pass: {report.passed} (tol {report.tol:g})")
+    if report.passed:
+        return 0
+    print(f"error: verification missed tolerance {report.tol:g}", file=sys.stderr)
+    return 5
 
 
 def _write_report(path, report: solver.SolveReport) -> None:
@@ -89,8 +93,8 @@ def cmd_gen(args) -> int:
         out, inst, manifest_extra={"seed": args.seed, "kind": args.kind}
     )
     print(f"wrote {manifest}")
-    for key in ("x1", "x2", "y1", "y2", "x1_minus_x2"):
-        print(f"rcond {key}: {inst.rconds[key]:.6e}")
+    for key, rcond in inst.rconds.items():
+        print(f"rcond {key}: {rcond:.6e}")
     return 0
 
 
@@ -107,13 +111,7 @@ def cmd_solve(args) -> int:
     _write_report(report_path, report)
     print(f"wrote {weights_path}")
     print(f"wrote {report_path}")
-    _print_report(report)
-    if not report.passed:
-        print(
-            f"error: verification missed tolerance {report.tol:g}", file=sys.stderr
-        )
-        return 5
-    return 0
+    return _report_exit_code(report)
 
 
 def cmd_verify(args) -> int:
@@ -122,13 +120,7 @@ def cmd_verify(args) -> int:
     report = solver.verify(weights, inst, tol=args.tol)
     if args.report_out:
         _write_report(args.report_out, report)
-    _print_report(report)
-    if not report.passed:
-        print(
-            f"error: verification missed tolerance {report.tol:g}", file=sys.stderr
-        )
-        return 5
-    return 0
+    return _report_exit_code(report)
 
 
 def cmd_eval(args) -> int:
@@ -224,13 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--alpha",
         type=float,
-        default=math.e,
-        help="interpolation scale, positive and away from 1 (default e)",
+        default=solver.DEFAULT_ALPHA,
+        help="interpolation scale, positive and away from 1 (default %(default)g)",
     )
     p.add_argument(
         "--branch-offset",
         type=int,
-        default=0,
+        default=PRINCIPAL,
         help="logarithm branch: adds 2*pi*k*i to every eigenvalue log",
     )
     p.add_argument(
@@ -270,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--branch-offset",
         type=int,
-        default=0,
-        help="adds 2*pi*k*i to every eigenvalue log (default 0: principal)",
+        default=PRINCIPAL,
+        help="adds 2*pi*k*i to every eigenvalue log (default %(default)s: principal)",
     )
     p.set_defaults(func=cmd_logm)
 

@@ -175,23 +175,17 @@ def _forward(w, quad, activation, rcond_floor):
     return float((r * r).sum()), (s1, s2, factors, m, r)
 
 
-def two_layer_objective(
-    w, inst: ProblemInstance, activation="sigmoid",
-    rcond_floor: float = ACTIVATION_RCOND_FLOOR,
-) -> float:
+def two_layer_objective(w, inst: ProblemInstance, activation="sigmoid") -> float:
     """N(W) = ||Y1 - Y2 sigma(W X2)^-1 sigma(W X1)||_F^2."""
     activation = get_activation(activation)
-    return _forward(_as_real(w, "w"), _real_quad(inst), activation, rcond_floor)[0]
+    return _forward(
+        _as_real(w, "w"), _real_quad(inst), activation, ACTIVATION_RCOND_FLOOR
+    )[0]
 
 
-def two_layer_s_score(
-    w, inst: ProblemInstance, activation="sigmoid",
-    rcond_floor: float = ACTIVATION_RCOND_FLOOR,
-) -> float:
+def two_layer_s_score(w, inst: ProblemInstance, activation="sigmoid") -> float:
     """Objective normalized by the identity-activation baseline."""
-    return two_layer_objective(w, inst, activation, rcond_floor) / (
-        baseline_denominator(inst)
-    )
+    return two_layer_objective(w, inst, activation) / baseline_denominator(inst)
 
 
 def _gradient_from_forward(state, quad, activation) -> np.ndarray:
@@ -216,22 +210,16 @@ def _gradient_from_forward(state, quad, activation) -> np.ndarray:
     )
 
 
-def two_layer_gradient(
-    w, inst: ProblemInstance, activation="sigmoid",
-    rcond_floor: float = ACTIVATION_RCOND_FLOOR,
-) -> np.ndarray:
+def two_layer_gradient(w, inst: ProblemInstance, activation="sigmoid") -> np.ndarray:
     """Analytic gradient of the unnormalized objective N at W."""
     activation = get_activation(activation)
     w = _as_real(w, "w")
     quad = _real_quad(inst)
-    state = _forward(w, quad, activation, rcond_floor)[1]
+    state = _forward(w, quad, activation, ACTIVATION_RCOND_FLOOR)[1]
     return _gradient_from_forward(state, quad, activation)
 
 
-def two_layer_gradient_fd(
-    w, inst: ProblemInstance, activation="sigmoid",
-    rcond_floor: float = ACTIVATION_RCOND_FLOOR,
-) -> np.ndarray:
+def two_layer_gradient_fd(w, inst: ProblemInstance, activation="sigmoid") -> np.ndarray:
     """Central finite-difference gradient of N (2 d^2 forward passes).
 
     An oracle for :func:`two_layer_gradient`; the descent never calls it.
@@ -244,9 +232,9 @@ def two_layer_gradient_fd(
         for j in range(w.shape[1]):
             saved = w[i, j]
             w[i, j] = saved + FD_STEP
-            plus = _forward(w, quad, activation, rcond_floor)[0]
+            plus = _forward(w, quad, activation, ACTIVATION_RCOND_FLOOR)[0]
             w[i, j] = saved - FD_STEP
-            minus = _forward(w, quad, activation, rcond_floor)[0]
+            minus = _forward(w, quad, activation, ACTIVATION_RCOND_FLOOR)[0]
             w[i, j] = saved
             grad[i, j] = (plus - minus) / (2.0 * FD_STEP)
     return grad

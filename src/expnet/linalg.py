@@ -239,7 +239,6 @@ def schur_decompose(a: CMatrix) -> SchurForm:
             raise ConvergenceError(f"QR iteration did not converge (zgees info={info})")
         if info < 0:  # pragma: no cover - illegal-argument path
             raise ValueError(f"zgees failed with info={info}")
-    t = np.triu(t)
     return SchurForm(q=q, t=t, eigenvalues=np.diagonal(t).copy())
 
 

@@ -88,7 +88,7 @@ def test_criterion_3_proof_identities(battery):
     # together, by exponential-hump amplification no double-precision
     # evaluation avoids.
     rows, _ = battery
-    named = ("scale_identity", "commutation", "difference_identity")
+    named = ("scale_identity", "commutation", "commutant_form")
     worst = 0.0
     kept = total = 0
     for per_dim in rows.values():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from expnet import cli, errors, linalg, solver
+from expnet.matfuncs import PRINCIPAL
 
 
 def run_cli(*argv):
@@ -146,6 +147,20 @@ class TestSolveVerifyEval:
     def test_missing_instance_exit_4(self, workdir):
         assert run_cli("solve", "--instance", "nowhere") == 4
 
+    def test_verify_dimension_mismatch_exit_4(self, workdir, capsys):
+        run_cli("gen", "--dim", "2", "--seed", "3", "--out", "d2")
+        run_cli("gen", "--dim", "3", "--seed", "3", "--out", "d3")
+        assert run_cli("solve", "--instance", "d3") == 0
+        code = run_cli("verify", "--instance", "d2", "--weights", "d3/weights.json")
+        assert code == 4
+        assert "error [DimensionError]" in capsys.readouterr().err
+
+    def test_solve_defaults_come_from_the_library(self, monkeypatch):
+        monkeypatch.setattr(solver, "DEFAULT_ALPHA", 2.0)
+        args = cli.build_parser().parse_args(["solve", "--instance", "inst"])
+        assert args.alpha == 2.0
+        assert args.branch_offset == PRINCIPAL
+
 
 @pytest.mark.parametrize(
     "exc, code",
@@ -234,8 +249,12 @@ class TestMatrixFunctions:
             lambda w: {**w, "alpha": True},
             lambda w: {**w, "alpha": None},
             lambda w: {**w, "w1": 5},
+            lambda w: {**w, "w2": linalg.matrix_to_json(np.eye(3))},
         ],
-        ids=["list", "no-z", "string-alpha", "bool-alpha", "null-alpha", "scalar-w1"],
+        ids=[
+            "list", "no-z", "string-alpha", "bool-alpha", "null-alpha", "scalar-w1",
+            "mixed-size",
+        ],
     )
     def test_malformed_weights_file_exit_4(self, workdir, capsys, edit):
         run_cli("gen", "--dim", "2", "--seed", "3", "--out", "inst")

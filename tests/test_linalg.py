@@ -170,15 +170,38 @@ class TestInverse:
         assert_allclose(linalg.inverse(a, rcond_floor=1e-12) @ a, np.eye(2), atol=1e-8)
 
 
+# inputs with structure, extreme scales or repeated eigenvalues, on which
+# zgees must still return an exactly upper-triangular T
+_SCHUR_SPECIAL = {
+    "zero": np.zeros((5, 5)),
+    "identity": np.eye(6),
+    "diagonal": np.diag(np.arange(1.0, 9.0)),
+    "upper": np.triu(linalg.random_matrix(6, seed=61)),
+    "lower": np.tril(linalg.random_matrix(6, seed=62)),
+    "jordan": (2.0 - 1.0j) * np.eye(7) + np.eye(7, k=1),
+    "large": 1e300 * linalg.random_matrix(4, seed=63),
+    "large-negative": -1e300 * linalg.random_matrix(4, seed=64),
+    "tiny": 1e-300 * linalg.random_matrix(4, seed=65),
+    "tiny-negative": -1e-300 * linalg.random_matrix(4, seed=66),
+    "ones": np.ones((9, 9)),
+}
+
+
 class TestSchur:
-    @pytest.mark.parametrize("dim", [2, 4, 7])
-    def test_reconstruction_and_structure(self, dim):
-        a = linalg.random_matrix(dim, seed=dim + 30)
+    @pytest.mark.parametrize(
+        "case",
+        [2, 4, 7, *(pytest.param(a, id=name) for name, a in _SCHUR_SPECIAL.items())],
+    )
+    def test_reconstruction_and_structure(self, case):
+        # an int case is the dimension of a random complex matrix
+        a = linalg.random_matrix(case, seed=case + 30) if isinstance(case, int) else case
+        dim = a.shape[0]
         form = linalg.schur_decompose(a)
         q, t = form.q, form.t
         assert_allclose(q @ q.conj().T, np.eye(dim), atol=1e-12)
         assert_array_equal(np.tril(t, -1), np.zeros((dim, dim)))
-        assert_allclose(q @ t @ q.conj().T, a, atol=1e-12)
+        scale = max(1.0, float(np.abs(a).max()))
+        assert_allclose(q @ t @ q.conj().T, a, atol=1e-12 * scale)
 
     def test_eigenvalues_match_characteristic_polynomial(self):
         # independent route: Faddeev-LeVerrier coefficients + polynomial roots

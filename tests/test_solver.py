@@ -149,6 +149,11 @@ class TestSolveThreeLayer:
         with pytest.raises(errors.DimensionError):
             solver.eval_three_layer(w, np.eye(3))
 
+    def test_verify_dimension_mismatch(self):
+        w = solver.solve_three_layer(admitted_instance(3, seed=88))
+        with pytest.raises(errors.DimensionError):
+            solver.verify(w, admitted_instance(2, seed=88))
+
 
 class TestSingleLayer:
     def test_solve_single_layer(self):
@@ -196,8 +201,8 @@ class TestVerifyRobustness:
         assert not rep.passed
 
     def test_expm_calls_per_interpolant(self, monkeypatch):
-        # solve forms three exponentials; verify reuses expm(W1 Xi) for
-        # its forward passes and forms expm(Z) once: six more
+        # solve forms three exponentials; verify forms expm(W1 Xi) once
+        # each and reuses them for its forward passes, then expm(Z): five more
         calls = []
         real_expm = solver.expm
 
@@ -208,7 +213,7 @@ class TestVerifyRobustness:
         monkeypatch.setattr(solver, "expm", counting_expm)
         inst = admitted_instance(4, seed=14)
         solver.verify(solver.solve_three_layer(inst), inst)
-        assert len(calls) == 9
+        assert len(calls) == 8
 
     def test_weights_alpha_validated(self):
         w = solver.solve_three_layer(admitted_instance(2, seed=10))
@@ -240,7 +245,5 @@ class TestSerialization:
             "commutation",
             "commutant_form",
             "difference_rcond",
-            "difference_identity",
-            "w3_consistency",
             "z_definition",
         }
