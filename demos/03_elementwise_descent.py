@@ -22,7 +22,7 @@ for activation in ("identity", "sigmoid", "relu"):
         cfg = ExperimentConfig(dim=dim, activation=activation, steps=500,
                                seeds=SEEDS)
         trace = run_experiment(cfg)
-        n_div = sum(r.diverged for r in trace.runs)
+        n_div = trace.divergent_count()
         print(f"{activation:>10}  {dim:>3}  {cfg.steps:>5}    "
               f"{trace.median_initial():8.4f} -> {trace.median_final():.4f}"
               f"      {n_div}/{len(SEEDS)}")

@@ -85,9 +85,7 @@ def _instance_dir(path) -> str:
 
 
 def cmd_gen(args) -> int:
-    inst = solver.random_instance(
-        args.dim, args.seed, kind=args.kind, threshold=args.threshold
-    )
+    inst = solver.random_instance(args.dim, args.seed, kind=args.kind)
     out = args.out or f"instance-d{args.dim}-s{args.seed}"
     manifest = solver.save_instance(
         out, inst, manifest_extra={"seed": args.seed, "kind": args.kind}
@@ -165,7 +163,6 @@ def cmd_experiment(args) -> int:
         steps=args.steps,
         seeds=parse_seeds(args.seeds),
         learning_rate=args.lr,
-        rcond_floor=args.rcond_floor,
     )
     trace = xp.run_experiment(config)
     out = args.out or f"trace-{config.activation}-d{config.dim}.csv"
@@ -199,12 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("complex-gaussian", "real-gaussian"),
         default="complex-gaussian",
         help="entry distribution (default complex-gaussian)",
-    )
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=solver.ADMISSION_RCOND,
-        help="admission rcond threshold (default %(default)g)",
     )
     p.add_argument("--out", help="output directory (default instance-d<dim>-s<seed>)")
     p.set_defaults(func=cmd_gen)
@@ -291,13 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="learning rate on the normalized score (default 1e-3 * dim)",
     )
-    p.add_argument(
-        "--rcond-floor",
-        type=float,
-        default=xp.ACTIVATION_RCOND_FLOOR,
-        help="rcond floor for instance admission and the post-activation "
-        "matrix (default %(default)g)",
-    )
     p.add_argument("--out", help="trace CSV path (default trace-<activation>-d<dim>.csv)")
     p.set_defaults(func=cmd_experiment)
 
@@ -309,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 #: not 2.
 _EXIT_CODES = (
     ((InstanceRejectedError, MaxResampleError, ComplexInputError), 3),
-    ((json.JSONDecodeError, MatrixFormatError, KeyError, DimensionError, OSError), 4),
+    ((json.JSONDecodeError, MatrixFormatError, DimensionError, OSError), 4),
     ((SingularInputError, IllConditionedError, NearSingularError, ConvergenceError,
       ActivationSingularError, OverflowError, FloatingPointError), 5),
     ((ValueError,), 2),

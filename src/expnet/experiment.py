@@ -153,7 +153,7 @@ def baseline_denominator(inst: ProblemInstance) -> float:
     return value
 
 
-def _forward(w, quad, activation, rcond_floor):
+def _forward(w, quad, activation):
     """Forward pass at W: returns N(W) and the state the gradient needs.
 
     The state is the tuple (S1, S2, LU of S2, M, R) with S_i = sigma(W X_i),
@@ -164,10 +164,10 @@ def _forward(w, quad, activation, rcond_floor):
     s1 = activation.apply(w @ x1)
     s2 = activation.apply(w @ x2)
     factors = lu_factor(s2)
-    if factors.rcond <= rcond_floor:
+    if factors.rcond <= ACTIVATION_RCOND_FLOOR:
         raise ActivationSingularError(
             f"sigma(W X2) is near singular (rcond {factors.rcond:.3e} <= "
-            f"{rcond_floor:g})",
+            f"{ACTIVATION_RCOND_FLOOR:g})",
             factors.rcond,
         )
     m = lu_solve(factors, s1)
@@ -178,9 +178,7 @@ def _forward(w, quad, activation, rcond_floor):
 def two_layer_objective(w, inst: ProblemInstance, activation="sigmoid") -> float:
     """N(W) = ||Y1 - Y2 sigma(W X2)^-1 sigma(W X1)||_F^2."""
     activation = get_activation(activation)
-    return _forward(
-        _as_real(w, "w"), _real_quad(inst), activation, ACTIVATION_RCOND_FLOOR
-    )[0]
+    return _forward(_as_real(w, "w"), _real_quad(inst), activation)[0]
 
 
 def two_layer_s_score(w, inst: ProblemInstance, activation="sigmoid") -> float:
@@ -215,7 +213,7 @@ def two_layer_gradient(w, inst: ProblemInstance, activation="sigmoid") -> np.nda
     activation = get_activation(activation)
     w = _as_real(w, "w")
     quad = _real_quad(inst)
-    state = _forward(w, quad, activation, ACTIVATION_RCOND_FLOOR)[1]
+    state = _forward(w, quad, activation)[1]
     return _gradient_from_forward(state, quad, activation)
 
 
@@ -232,9 +230,9 @@ def two_layer_gradient_fd(w, inst: ProblemInstance, activation="sigmoid") -> np.
         for j in range(w.shape[1]):
             saved = w[i, j]
             w[i, j] = saved + FD_STEP
-            plus = _forward(w, quad, activation, ACTIVATION_RCOND_FLOOR)[0]
+            plus = _forward(w, quad, activation)[0]
             w[i, j] = saved - FD_STEP
-            minus = _forward(w, quad, activation, ACTIVATION_RCOND_FLOOR)[0]
+            minus = _forward(w, quad, activation)[0]
             w[i, j] = saved
             grad[i, j] = (plus - minus) / (2.0 * FD_STEP)
     return grad
@@ -242,14 +240,17 @@ def two_layer_gradient_fd(w, inst: ProblemInstance, activation="sigmoid") -> np.
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings for one descent experiment (all seeds share them)."""
+    """Settings for one descent experiment (all seeds share them).
+
+    Instance admission and the sigma(W X2) guard both use the module's
+    ``ACTIVATION_RCOND_FLOOR``.
+    """
 
     dim: int
     activation: str = "sigmoid"
     steps: int = 2000
     seeds: tuple = tuple(range(1, 11))
     learning_rate: float | None = None  # None -> LEARNING_RATE_SCALE * dim
-    rcond_floor: float = ACTIVATION_RCOND_FLOOR
 
     def __post_init__(self):
         if self.dim < 1:
@@ -311,7 +312,7 @@ def _admitted_real_instance(rng, config: ExperimentConfig, seed: int):
     resamples = 0
     while True:
         inst = draw_instance(rng, config.dim, "real-gaussian")
-        if inst.admitted(config.rcond_floor):
+        if inst.admitted(ACTIVATION_RCOND_FLOOR):
             try:
                 denom = baseline_denominator(inst)
             except InstanceRejectedError:
@@ -339,11 +340,11 @@ def _descend(w0, quad, denom, config: ExperimentConfig, activation) -> list:
     resamples W and retries.
     """
     step_size = config.effective_learning_rate / denom
-    steps, rcond_floor = config.steps, config.rcond_floor
+    steps = config.steps
     w = np.array(w0, dtype=np.float64, copy=True)
     series = []
     for step in range(steps + 1):
-        objective, state = _forward(w, quad, activation, rcond_floor)
+        objective, state = _forward(w, quad, activation)
         s = objective / denom
         if not math.isfinite(s):
             raise FloatingPointError(f"non-finite score at step {step}")
@@ -403,7 +404,6 @@ def config_to_json(config: ExperimentConfig) -> dict:
         "seeds": list(config.seeds),
         "learning_rate": config.effective_learning_rate,
         "learning_rate_was_default": config.learning_rate is None,
-        "rcond_floor": config.rcond_floor,
     }
 
 

@@ -36,8 +36,10 @@ from .errors import (
 #: A validated dense complex square matrix (see :func:`cmatrix`).
 CMatrix = np.ndarray
 
-#: rcond floor used for plumbing inverses when the caller does not say.
-DEFAULT_RCOND_FLOOR = 1e-10
+#: rcond at or below which a matrix counts as singular to working
+#: precision: :func:`inverse` raises NearSingularError there, and
+#: :func:`~expnet.matfuncs.logm` SingularInputError.
+SINGULAR_RCOND = 1e-10
 
 _GAUSSIAN_KINDS = ("complex-gaussian", "real-gaussian")
 
@@ -169,8 +171,8 @@ def lu_solve(factors: LuFactors, b: np.ndarray, trans: int = 0) -> np.ndarray:
     return x
 
 
-def inverse(a: CMatrix, rcond_floor: float = DEFAULT_RCOND_FLOOR) -> CMatrix:
-    """Invert a square matrix, guarded by a reciprocal-condition floor.
+def inverse(a: CMatrix) -> CMatrix:
+    """Invert a square matrix, guarded by the floor ``SINGULAR_RCOND``.
 
     The inverse has the input's field (see :func:`lu_factor`).
     Residual behavior: measured over random well-conditioned inputs the
@@ -180,13 +182,13 @@ def inverse(a: CMatrix, rcond_floor: float = DEFAULT_RCOND_FLOOR) -> CMatrix:
     Raises
     ------
     NearSingularError
-        When the 1-norm rcond estimate is at or below ``rcond_floor``.
+        When the 1-norm rcond estimate is at or below ``SINGULAR_RCOND``.
     """
     factors = lu_factor(a)
-    if factors.rcond <= rcond_floor:
+    if factors.rcond <= SINGULAR_RCOND:
         raise NearSingularError(
             f"matrix is near-singular: rcond {factors.rcond:.3e} <= floor "
-            f"{rcond_floor:.3e}",
+            f"{SINGULAR_RCOND:.3e}",
             rcond=factors.rcond,
         )
     return lu_solve(factors, np.eye(a.shape[0], dtype=factors.lu.dtype))

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .linalg import (
     CMatrix,
+    SINGULAR_RCOND,
     SchurForm,
     _check_square,
     _lapack,
@@ -51,9 +52,6 @@ LOGM_PADE_THETA = (1.59e-5, 2.31e-3, 1.94e-2, 6.21e-2, 1.28e-1, 2.06e-1, 2.88e-1
 
 #: Square roots logm may take before giving up with ConvergenceError.
 LOGM_MAX_SQRTS = 60
-
-#: rcond floor below which logm refuses its input as singular.
-LOGM_RCOND_FLOOR = 1e-10
 
 #: Largest strictly-upper entry a square root of the triangular factor may
 #: have, relative to its largest diagonal magnitude. Entry (i, j) is about
@@ -282,7 +280,8 @@ def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
     Raises
     ------
     SingularInputError
-        rcond at or below 1e-10, or a zero eigenvalue in the Schur form.
+        rcond at or below :data:`~expnet.linalg.SINGULAR_RCOND`, or a zero
+        eigenvalue in the Schur form.
     IllConditionedError
         Coupled near-multiple eigenvalues straddling the branch cut (a
         pair coupled above 200 times its gap, or an entry of the
@@ -296,7 +295,7 @@ def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
     a = np.asarray(a, dtype=np.complex128)
     require_finite(a)
     factors = lu_factor(a)
-    if factors.rcond <= LOGM_RCOND_FLOOR:
+    if factors.rcond <= SINGULAR_RCOND:
         raise SingularInputError(
             f"matrix is singular to working precision (rcond {factors.rcond:.3e})"
         )

@@ -43,7 +43,8 @@ from .linalg import (
 )
 from .matfuncs import PRINCIPAL, expm, logm
 
-#: rcond threshold all five instance matrices must clear to be admitted.
+#: rcond all five instance matrices must clear for random_instance to
+#: admit the draw and for solve_three_layer to accept the instance.
 ADMISSION_RCOND = 1e-3
 
 #: Default interpolation scale (ln(alpha) = 1).
@@ -81,7 +82,8 @@ class ProblemInstance:
 
     ``rconds`` holds the 1-norm reciprocal-condition estimates of the
     four matrices and of X1 - X2; an instance is *admitted* when all five
-    clear the threshold.
+    clear the threshold: ``ADMISSION_RCOND`` for the solver, the
+    experiment's ``ACTIVATION_RCOND_FLOOR`` for its real draws.
     """
 
     x1: CMatrix
@@ -124,12 +126,9 @@ def draw_instance(rng: np.random.Generator, dim: int, kind: str) -> ProblemInsta
 
 
 def random_instance(
-    dim: int,
-    seed: int,
-    kind: str = "complex-gaussian",
-    threshold: float = ADMISSION_RCOND,
+    dim: int, seed: int, kind: str = "complex-gaussian"
 ) -> ProblemInstance:
-    """Sample Gaussian instances until one is admitted.
+    """Sample Gaussian instances until one clears ``ADMISSION_RCOND``.
 
     Deterministic for fixed arguments: a single PCG64 stream seeded with
     ``seed`` supplies every draw. Raises :class:`MaxResampleError` after
@@ -140,11 +139,10 @@ def random_instance(
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(MAX_RESAMPLES):
         inst = draw_instance(rng, dim, kind)
-        if inst.admitted(threshold):
+        if inst.admitted():
             return inst
     raise MaxResampleError(
-        f"no admitted instance in {MAX_RESAMPLES} tries (dim={dim}, seed={seed}, "
-        f"threshold={threshold:g})"
+        f"no admitted instance in {MAX_RESAMPLES} tries (dim={dim}, seed={seed})"
     )
 
 
@@ -153,7 +151,8 @@ class ThreeLayerWeights:
     """Closed-form solution record (W1, W2, W3, alpha, Z).
 
     Z satisfies expm(Z) = alpha * Y1^-1 Y2 for the instance it was built
-    from; alpha is positive with |alpha - 1| >= MIN_ALPHA_GAP.
+    from; alpha is positive with |alpha - 1| >= MIN_ALPHA_GAP, and the four
+    matrices share one shape (else :class:`DimensionError`).
     """
 
     w1: CMatrix
@@ -164,6 +163,9 @@ class ThreeLayerWeights:
 
     def __post_init__(self):
         _validate_alpha(self.alpha)
+        shapes = {m.shape for m in (self.w1, self.w2, self.w3, self.z)}
+        if len(shapes) != 1:
+            raise DimensionError(f"weight matrices disagree on shape: {sorted(shapes)}")
 
     @property
     def dim(self) -> int:
@@ -242,8 +244,8 @@ def solve_three_layer(
     Raises
     ------
     InstanceRejectedError
-        If some rcond of (X1, X2, Y1, Y2, X1 - X2) is at or below the
-        admission threshold.
+        If some rcond of (X1, X2, Y1, Y2, X1 - X2) is at or below
+        ``ADMISSION_RCOND``.
     ValueError
         For alpha <= 0 or |alpha - 1| < MIN_ALPHA_GAP.
     """
@@ -254,11 +256,10 @@ def solve_three_layer(
         raise InstanceRejectedError(
             f"instance rejected: rcond at or below {ADMISSION_RCOND:g} for {failing}"
         )
-    _validate_alpha(alpha)
+    z = compute_z(inst.y1, inst.y2, alpha, branch)  # validates alpha
     ln_alpha = math.log(alpha)
     eye = np.eye(inst.dim, dtype=np.complex128)
     w1 = ln_alpha * inverse(inst.x1 - inst.x2)
-    z = compute_z(inst.y1, inst.y2, alpha, branch)
     w2 = (z - ln_alpha * eye) @ expm(-(w1 @ inst.x2)) / (1.0 - alpha)
     w3 = np.asarray(inst.y1) @ expm(-(w2 @ expm(w1 @ inst.x1)))
     for name, w in (("w1", w1), ("w2", w2), ("w3", w3)):
@@ -390,7 +391,9 @@ def weights_from_json(obj: dict) -> ThreeLayerWeights:
     ------
     MatrixFormatError
         Unless ``obj`` is an object with matrices ``w1``, ``w2``, ``w3``
-        and ``z`` of one shape and a real number ``alpha``.
+        and ``z`` and a real number ``alpha``.
+    DimensionError
+        If the four matrices differ in shape.
     """
     if not isinstance(obj, dict) or not set(_WEIGHT_FIELDS) <= obj.keys():
         raise MatrixFormatError(
@@ -400,11 +403,6 @@ def weights_from_json(obj: dict) -> ThreeLayerWeights:
     if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
         raise MatrixFormatError(f"weights JSON 'alpha' must be a number, got {alpha!r}")
     w1, w2, w3, z = (matrix_from_json(obj[name]) for name in _WEIGHT_FIELDS[1:])
-    shapes = {m.shape for m in (w1, w2, w3, z)}
-    if len(shapes) != 1:
-        raise MatrixFormatError(
-            f"weights JSON matrices disagree on shape: {sorted(shapes)}"
-        )
     return ThreeLayerWeights(w1=w1, w2=w2, w3=w3, alpha=float(alpha), z=z)
 
 

@@ -170,7 +170,6 @@ class TestSolveVerifyEval:
         (errors.ComplexInputError("complex"), 3),
         (json.JSONDecodeError("bad json", "{", 0), 4),
         (errors.MatrixFormatError("entries"), 4),
-        (KeyError("files"), 4),
         (errors.DimensionError("shape"), 4),
         (OSError("unreadable"), 4),
         (errors.SingularInputError("singular"), 5),
@@ -241,28 +240,28 @@ class TestMatrixFunctions:
         assert "error [MatrixFormatError]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, error",
         [
-            lambda w: [1, 2],
-            lambda w: {k: v for k, v in w.items() if k != "z"},
-            lambda w: {**w, "alpha": "x"},
-            lambda w: {**w, "alpha": True},
-            lambda w: {**w, "alpha": None},
-            lambda w: {**w, "w1": 5},
-            lambda w: {**w, "w2": linalg.matrix_to_json(np.eye(3))},
+            (lambda w: [1, 2], "MatrixFormatError"),
+            (lambda w: {k: v for k, v in w.items() if k != "z"}, "MatrixFormatError"),
+            (lambda w: {**w, "alpha": "x"}, "MatrixFormatError"),
+            (lambda w: {**w, "alpha": True}, "MatrixFormatError"),
+            (lambda w: {**w, "alpha": None}, "MatrixFormatError"),
+            (lambda w: {**w, "w1": 5}, "MatrixFormatError"),
+            (lambda w: {**w, "w2": linalg.matrix_to_json(np.eye(3))}, "DimensionError"),
         ],
         ids=[
             "list", "no-z", "string-alpha", "bool-alpha", "null-alpha", "scalar-w1",
             "mixed-size",
         ],
     )
-    def test_malformed_weights_file_exit_4(self, workdir, capsys, edit):
+    def test_malformed_weights_file_exit_4(self, workdir, capsys, edit, error):
         run_cli("gen", "--dim", "2", "--seed", "3", "--out", "inst")
         assert run_cli("solve", "--instance", "inst") == 0
         weights = json.loads((workdir / "inst/weights.json").read_text())
         (workdir / "w.json").write_text(json.dumps(edit(weights)))
         assert run_cli("verify", "--instance", "inst", "--weights", "w.json") == 4
-        assert "error [MatrixFormatError]" in capsys.readouterr().err
+        assert f"error [{error}]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "manifest",

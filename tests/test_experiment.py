@@ -359,7 +359,7 @@ class TestRunExperiment:
             rng = np.random.Generator(np.random.PCG64(seed))
             for instance_resamples in range(solver.MAX_RESAMPLES):
                 inst = solver.draw_instance(rng, dim, "real-gaussian")
-                if inst.admitted(cfg.rcond_floor):
+                if inst.admitted(xp.ACTIVATION_RCOND_FLOOR):
                     try:
                         denom = xp.baseline_denominator(inst)
                         break
@@ -435,9 +435,10 @@ class TestRunExperiment:
             r.final_s <= xp.DIVERGENCE_FACTOR * r.initial_s for r in trace.runs
         )
 
-    def test_resample_exhaustion(self):
-        # no Gaussian draw has rcond anywhere near 1, so admission starves
-        cfg = xp.ExperimentConfig(dim=3, steps=5, seeds=(1,), rcond_floor=0.999)
+    def test_resample_exhaustion(self, monkeypatch):
+        # an admission rule that refuses every draw starves the sampler
+        monkeypatch.setattr(solver.ProblemInstance, "admitted", lambda *_: False)
+        cfg = xp.ExperimentConfig(dim=3, steps=5, seeds=(1,))
         with pytest.raises(errors.MaxResampleError):
             xp.run_experiment(cfg)
 

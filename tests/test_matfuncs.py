@@ -117,6 +117,17 @@ def logm_inputs(draw):
     return a * 10.0 ** draw(st.integers(-6, 6))
 
 
+@st.composite
+def bounded_matrices(draw):
+    """d <= 6 matrices of complex entries with |z| <= 10, as hypothesis
+    draws them: zeros, repeated entries and rank-deficient forms abound."""
+    dim = draw(st.integers(1, 6))
+    entries = st.lists(
+        st.complex_numbers(max_magnitude=10), min_size=dim * dim, max_size=dim * dim
+    )
+    return np.array(draw(entries), dtype=np.complex128).reshape(dim, dim)
+
+
 class TestLogm:
     def test_square_root_count(self, monkeypatch):
         # Al-Mohy & Higham's alpha_2(X) <= theta_7 stop, counted on the
@@ -154,6 +165,22 @@ class TestLogm:
             errors.ConvergenceError,
         ):
             return
+        assert np.linalg.norm(expm(lg) - a) <= roundtrip_bound(a)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(a=bounded_matrices(), branch=st.integers(-2, 2))
+    def test_bounded_entries_meet_contract_or_raise(self, a, branch):
+        # a log comes back only for input that clears linalg.SINGULAR_RCOND,
+        # and it meets the roundtrip bound
+        try:
+            lg = logm(a, branch)
+        except (
+            errors.SingularInputError,
+            errors.IllConditionedError,
+            errors.ConvergenceError,
+        ):
+            return
+        assert linalg.lu_factor(a).rcond > linalg.SINGULAR_RCOND
         assert np.linalg.norm(expm(lg) - a) <= roundtrip_bound(a)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 6, 10])

@@ -40,10 +40,11 @@ class TestInstances:
             assert_array_equal(getattr(a, name), getattr(b, name))
         assert a.admitted()
 
-    def test_random_instance_exhaustion(self):
-        # rcond > 0.999 is unattainable for Gaussian draws
+    def test_random_instance_exhaustion(self, monkeypatch):
+        # an admission rule that refuses every draw starves the sampler
+        monkeypatch.setattr(solver.ProblemInstance, "admitted", lambda *_: False)
         with pytest.raises(errors.MaxResampleError):
-            solver.random_instance(4, seed=1, threshold=0.999)
+            solver.random_instance(4, seed=1)
 
     def test_instance_file_roundtrip(self, tmp_path):
         inst = admitted_instance(3, seed=8)
@@ -220,6 +221,15 @@ class TestVerifyRobustness:
         with pytest.raises(ValueError):
             solver.ThreeLayerWeights(
                 w1=w.w1, w2=w.w2, w3=w.w3, alpha=1.0, z=w.z
+            )
+
+    def test_weights_share_one_shape(self):
+        # built in the library, not read from JSON: a 3 x 3 w2 among
+        # 2 x 2 weights is refused where the record is made
+        w = solver.solve_three_layer(admitted_instance(2, seed=1))
+        with pytest.raises(errors.DimensionError):
+            solver.ThreeLayerWeights(
+                w1=w.w1, w2=linalg.cmatrix(np.eye(3)), w3=w.w3, alpha=w.alpha, z=w.z
             )
 
 
