@@ -76,8 +76,6 @@ from .solver import (
     random_instance,
     save_instance,
     save_weights,
-    solve_block_diagonal,
-    solve_single_layer,
     solve_three_layer,
     verify,
 )

@@ -3,14 +3,15 @@
 Criteria 1-3 share a module-scoped battery of solved random instances;
 the rest build their own fixtures. Every expected value comes from an
 independent oracle (truncated Taylor exponential, closed-form Jordan
-block logarithm, central finite differences, hand-derived scalar case),
-never from the implementation under test.
+block logarithm, central finite differences, hand-derived scalar case,
+mpmath at 50 digits), never from the implementation under test.
 """
 
 import math
 import statistics
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -88,7 +89,7 @@ def test_criterion_3_proof_identities(battery):
     # together, by exponential-hump amplification no double-precision
     # evaluation avoids.
     rows, _ = battery
-    named = ("scale_identity", "commutation", "commutant_form")
+    named = ("scale_identity", "commutant_form")
     worst = 0.0
     kept = total = 0
     for per_dim in rows.values():
@@ -274,4 +275,52 @@ def test_criterion_7_gradient_correctness():
         "7 gradient-correctness",
         worst <= 1e-5 and checked == 50,
         f"{checked} sigmoid points d<=4, worst relative gap {worst:.2e}",
+    )
+
+
+def _exact_residuals(weights, inst):
+    """Relative Frobenius residuals of the float weights at X1 and X2,
+    evaluated with mpmath's exponential at 50 digits."""
+
+    def mp(a):
+        return mpmath.matrix(np.asarray(a).tolist())
+
+    with mpmath.workdps(50):
+        w1, w2, w3 = mp(weights.w1), mp(weights.w2), mp(weights.w3)
+        out = []
+        for x, y in ((inst.x1, inst.y1), (inst.x2, inst.y2)):
+            f = w3 * mpmath.expm(w2 * mpmath.expm(w1 * mp(x)))
+            out.append(float(mpmath.mnorm(f - mp(y), "f") / mpmath.mnorm(mp(y), "f")))
+    return out
+
+
+def test_criterion_8_residuals_match_exact_oracle():
+    # The two battery misses at alpha = e (d = 4, seeds 40006 and 40034)
+    # and five clean seeds at each of d = 2, 4, 8: every float residual
+    # of verify must track the exact residual of the same weights, so a
+    # miss cannot hide behind a residual that only measures rounding.
+    cases = [(4, 40_006), (4, 40_034)] + [
+        (d, d * 10_000 + i) for d in (2, 4, 8) for i in range(5)
+    ]
+    worst_ratio = 1.0
+    disagreements = []
+    for d, seed in cases:
+        inst = en.random_instance(d, seed=seed)
+        weights = en.solve_three_layer(inst, alpha=BATTERY_ALPHA)
+        rep = en.verify(weights, inst)
+        exact = _exact_residuals(weights, inst)
+        for got, want in zip((rep.residual1, rep.residual2), exact):
+            if max(got, want) <= 1e-13:
+                continue
+            ratio = max(got / want, want / got) if min(got, want) > 0 else math.inf
+            worst_ratio = max(worst_ratio, ratio)
+            if ratio > 10.0:
+                disagreements.append((d, seed, got, want))
+        if rep.passed != (max(exact) <= 1e-6):
+            disagreements.append((d, seed, rep.passed, exact))
+    _announce(
+        "8 exact-residual-oracle",
+        not disagreements,
+        f"{len(cases)} instances d<=8, worst float/exact ratio {worst_ratio:.2f} "
+        f"above 1e-13, disagreements {disagreements}",
     )

@@ -114,6 +114,13 @@ class TestSolveThreeLayer:
             rep = solver.verify(w, inst, tol=1e-7)
             assert rep.passed, (offset, rep.residual1, rep.residual2)
 
+    def test_residual1_reports_a_miss_at_x1(self):
+        # battery instance whose weights miss Y1 by 7e-2 in 50-digit
+        # arithmetic at alpha = e; residual1 must not read as rounding
+        inst = admitted_instance(4, seed=40006)
+        rep = solver.verify(solver.solve_three_layer(inst, alpha=math.e), inst)
+        assert rep.residual1 > 1e-6
+
     def test_identity_checks_small(self):
         inst = admitted_instance(5, seed=55)
         rep = solver.verify(solver.solve_three_layer(inst), inst)
@@ -156,21 +163,6 @@ class TestSolveThreeLayer:
             solver.verify(w, admitted_instance(2, seed=88))
 
 
-class TestSingleLayer:
-    def test_solve_single_layer(self):
-        x = linalg.random_matrix(4, seed=2)
-        y = linalg.random_matrix(4, seed=3)
-        w = solver.solve_single_layer(x, y)
-        assert_allclose(w @ x, y, rtol=0, atol=1e-10)
-
-    def test_block_diagonal_widening(self):
-        inst = admitted_instance(3, seed=4)
-        b1, b2 = solver.solve_block_diagonal(inst)
-        # the stacked 2d x 2d map sends [X1; X2] to [Y1; Y2]
-        assert_allclose(b1 @ inst.x1, inst.y1, atol=1e-10)
-        assert_allclose(b2 @ inst.x2, inst.y2, atol=1e-10)
-
-
 class TestVerifyRobustness:
     def test_verify_never_raises_on_bad_weights(self):
         inst = admitted_instance(2, seed=9)
@@ -202,7 +194,7 @@ class TestVerifyRobustness:
         assert not rep.passed
 
     def test_expm_calls_per_interpolant(self, monkeypatch):
-        # solve forms three exponentials; verify forms expm(W1 Xi) once
+        # solve forms two exponentials; verify forms expm(W1 Xi) once
         # each and reuses them for its forward passes, then expm(Z): five more
         calls = []
         real_expm = solver.expm
@@ -214,7 +206,7 @@ class TestVerifyRobustness:
         monkeypatch.setattr(solver, "expm", counting_expm)
         inst = admitted_instance(4, seed=14)
         solver.verify(solver.solve_three_layer(inst), inst)
-        assert len(calls) == 8
+        assert len(calls) == 7
 
     def test_weights_alpha_validated(self):
         w = solver.solve_three_layer(admitted_instance(2, seed=10))
@@ -252,7 +244,6 @@ class TestSerialization:
         assert obj["admitted"] is True
         assert set(obj["identity_checks"]) == {
             "scale_identity",
-            "commutation",
             "commutant_form",
             "difference_rcond",
             "z_definition",
