@@ -30,13 +30,11 @@ from .experiment import (
     ExperimentConfig,
     ExperimentTrace,
     SeedRun,
-    apply_activation,
     baseline_denominator,
     run_experiment,
     two_layer_gradient,
     two_layer_gradient_fd,
     two_layer_objective,
-    two_layer_s_score,
     write_trace_csv,
 )
 from .linalg import (
@@ -68,7 +66,6 @@ from .solver import (
     ProblemInstance,
     SolveReport,
     ThreeLayerWeights,
-    compute_z,
     eval_three_layer,
     load_instance,
     load_weights,

@@ -119,15 +119,6 @@ def _as_real(a, what: str = "input") -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.float64)
 
 
-def apply_activation(a, activation) -> np.ndarray:
-    """Apply an entry-wise activation over the reals.
-
-    Complex input is accepted only when its imaginary part is below
-    COMPLEX_TOLERANCE in magnitude; otherwise ComplexInputError.
-    """
-    return get_activation(activation).apply(_as_real(a))
-
-
 def _real_quad(inst: ProblemInstance):
     return (
         _as_real(inst.x1, "x1"),
@@ -179,11 +170,6 @@ def two_layer_objective(w, inst: ProblemInstance, activation="sigmoid") -> float
     """N(W) = ||Y1 - Y2 sigma(W X2)^-1 sigma(W X1)||_F^2."""
     activation = get_activation(activation)
     return _forward(_as_real(w, "w"), _real_quad(inst), activation)[0]
-
-
-def two_layer_s_score(w, inst: ProblemInstance, activation="sigmoid") -> float:
-    """Objective normalized by the identity-activation baseline."""
-    return two_layer_objective(w, inst, activation) / baseline_denominator(inst)
 
 
 def _gradient_from_forward(state, quad, activation) -> np.ndarray:

@@ -2,19 +2,24 @@
 
 A three-layer map f(X) = W3 expm(W2 expm(W1 X)) can interpolate two
 data/label pairs (X1, Y1), (X2, Y2) of invertible d x d complex matrices
-exactly, provided X1 - X2 is invertible. The weights come from a free
-positive scale alpha != 1:
+exactly, provided X1 - X2 is invertible. The weights come from one
+logarithm L and a free positive scale alpha != 1:
 
+    L  = logm(Y1^-1 Y2)                    (any branch)
     W1 = ln(alpha) * (X1 - X2)^-1
-    Z  = logm(alpha * Y1^-1 Y2)            (any branch)
-    W2 = (Z - ln(alpha) I) expm(-W1 X2) / (1 - alpha)
-    W3 = Y1 expm(-C),  C = alpha/(1 - alpha) (Z - ln(alpha) I)
+    Z  = L + ln(alpha) I                   so expm(Z) = alpha * Y1^-1 Y2
+    W2 = L expm(-W1 X2) / (1 - alpha)
+    W3 = Y1 expm(alpha/(alpha - 1) L)
 
-C is the closed form of W2 expm(W1 X1), the argument the outer
-exponential takes at X1, so W3 equals the paper's Y1 expm(-W2 expm(W1 X1))
-without forming that product. No gradient descent is involved.
-``verify`` recomputes the forward map at both data points and a battery
-of internal identities that the construction satisfies.
+A positive scale leaves every eigenvalue's argument unchanged, so
+logm(alpha * Y1^-1 Y2) = L + ln(alpha) I on every branch, and alpha
+enters only through the scalars ln(alpha) and alpha/(1 - alpha).
+alpha/(1 - alpha) L is the closed form of W2 expm(W1 X1), the argument
+the outer exponential takes at X1, so W3 equals the paper's
+Y1 expm(-W2 expm(W1 X1)) without forming that product. No gradient
+descent is involved. ``verify`` recomputes the forward map at both data
+points and a battery of internal identities that the construction
+satisfies.
 """
 
 from __future__ import annotations
@@ -152,9 +157,10 @@ def random_instance(
 class ThreeLayerWeights:
     """Closed-form solution record (W1, W2, W3, alpha, Z).
 
-    Z satisfies expm(Z) = alpha * Y1^-1 Y2 for the instance it was built
-    from; alpha is positive with |alpha - 1| >= MIN_ALPHA_GAP, and the four
-    matrices share one shape (else :class:`DimensionError`).
+    Z = logm(Y1^-1 Y2) + ln(alpha) I for the instance it was built from,
+    so expm(Z) = alpha * Y1^-1 Y2. alpha is positive and finite with
+    |alpha - 1| >= MIN_ALPHA_GAP (else ValueError), and the four matrices
+    share one shape (else :class:`DimensionError`).
     """
 
     w1: CMatrix
@@ -195,37 +201,12 @@ class SolveReport:
 
 
 def _validate_alpha(alpha: float) -> None:
-    if not (alpha > 0):
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if abs(alpha - 1.0) < MIN_ALPHA_GAP:
         raise ValueError(
             f"alpha must differ from 1 by at least {MIN_ALPHA_GAP}, got {alpha}"
         )
-
-
-def compute_z(
-    y1: CMatrix, y2: CMatrix, alpha: float, branch: int = PRINCIPAL
-) -> CMatrix:
-    """A matrix Z with expm(Z) = alpha * Y1^-1 Y2.
-
-    Existence is guaranteed for invertible labels because the matrix
-    exponential is onto the invertible matrices; ``branch`` is the
-    integer k of :func:`~expnet.matfuncs.logm` that picks among the
-    infinitely many logarithms.
-
-    Raises
-    ------
-    ValueError
-        For alpha <= 0 or |alpha - 1| < MIN_ALPHA_GAP.
-    """
-    _validate_alpha(alpha)
-    return logm(alpha * (inverse(y1) @ np.asarray(y2)), branch)
-
-
-def _commutant(z: CMatrix, alpha: float) -> CMatrix:
-    """C = alpha/(1-alpha) (Z - ln(alpha) I), the value of W2 expm(W1 X1)."""
-    eye = np.eye(z.shape[0], dtype=np.complex128)
-    return (alpha / (1.0 - alpha)) * (z - math.log(alpha) * eye)
 
 
 def solve_three_layer(
@@ -235,14 +216,18 @@ def solve_three_layer(
 ) -> ThreeLayerWeights:
     """Closed-form weights interpolating both pairs of an admitted instance.
 
+    ``branch`` is the integer k of :func:`~expnet.matfuncs.logm` that picks
+    L among the logarithms of Y1^-1 Y2; alpha only scales and shifts L.
+
     Raises
     ------
     InstanceRejectedError
         If some rcond of (X1, X2, Y1, Y2, X1 - X2) is at or below
         ``ADMISSION_RCOND``.
     ValueError
-        For alpha <= 0 or |alpha - 1| < MIN_ALPHA_GAP.
+        For alpha <= 0, a non-finite alpha or |alpha - 1| < MIN_ALPHA_GAP.
     """
+    _validate_alpha(alpha)
     if not inst.admitted():
         failing = {
             k: v for k, v in inst.rconds.items() if v <= ADMISSION_RCOND
@@ -250,12 +235,12 @@ def solve_three_layer(
         raise InstanceRejectedError(
             f"instance rejected: rcond at or below {ADMISSION_RCOND:g} for {failing}"
         )
-    z = compute_z(inst.y1, inst.y2, alpha, branch)  # validates alpha
+    log_m = logm(inverse(inst.y1) @ np.asarray(inst.y2), branch)
     ln_alpha = math.log(alpha)
-    eye = np.eye(inst.dim, dtype=np.complex128)
+    z = log_m + ln_alpha * np.eye(inst.dim, dtype=np.complex128)
     w1 = ln_alpha * inverse(inst.x1 - inst.x2)
-    w2 = (z - ln_alpha * eye) @ expm(-(w1 @ inst.x2)) / (1.0 - alpha)
-    w3 = np.asarray(inst.y1) @ expm(-_commutant(z, alpha))
+    w2 = log_m @ expm(-(w1 @ inst.x2)) / (1.0 - alpha)
+    w3 = np.asarray(inst.y1) @ expm((alpha / (alpha - 1.0)) * log_m)
     for name, w in (("w1", w1), ("w2", w2), ("w3", w3)):
         require_finite(w, f"constructed {name}", OverflowError)
     return ThreeLayerWeights(w1=w1, w2=w2, w3=w3, alpha=alpha, z=z)
@@ -342,9 +327,9 @@ def verify(
         try:
             checks["scale_identity"] = _ratio(float(norm(e1 - alpha * e2)), float(norm(e1)))
             c = weights.w2 @ e1
-            checks["commutant_form"] = _ratio(
-                float(norm(c - _commutant(z, alpha))), float(norm(c))
-            )
+            eye = np.eye(weights.dim, dtype=np.complex128)
+            closed = (alpha / (1.0 - alpha)) * (z - math.log(alpha) * eye)
+            checks["commutant_form"] = _ratio(float(norm(c - closed)), float(norm(c)))
             checks["difference_rcond"] = lu_factor(e2 - e1).rcond
             ez = expm(z)
             checks["z_definition"] = _ratio(

@@ -144,6 +144,15 @@ class TestSolveVerifyEval:
         run_cli("gen", "--dim", "2", "--seed", "3", "--out", "inst")
         assert run_cli("solve", "--instance", "inst", "--alpha", "1.0") == 2
 
+    def test_infinite_alpha_weights_exit_2(self, workdir, capsys):
+        # json writes and reads Infinity; the weights record refuses it
+        run_cli("gen", "--dim", "2", "--seed", "3", "--out", "inst")
+        assert run_cli("solve", "--instance", "inst") == 0
+        weights = json.loads((workdir / "inst/weights.json").read_text())
+        (workdir / "w.json").write_text(json.dumps({**weights, "alpha": math.inf}))
+        assert run_cli("verify", "--instance", "inst", "--weights", "w.json") == 2
+        assert "alpha must be positive and finite" in capsys.readouterr().err
+
     def test_missing_instance_exit_4(self, workdir):
         assert run_cli("solve", "--instance", "nowhere") == 4
 

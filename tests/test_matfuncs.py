@@ -85,7 +85,9 @@ def mpmath_logm(a, digits=40):
 
 
 def label_quotient(dim, seed):
-    """e * Y1^-1 Y2 of an admitted instance: the one logm input of a solve."""
+    """e * Y1^-1 Y2 of an admitted instance. The solver takes logm of
+    Y1^-1 Y2 itself; the factor e only shifts the logarithm by I, and it
+    stays because the pinned square-root counts were measured with it."""
     inst = solver.random_instance(dim, seed)
     return math.e * np.linalg.solve(inst.y1, inst.y2)
 
@@ -153,6 +155,19 @@ class TestLogm:
             a = label_quotient(dim, seed)
             truth = mpmath_logm(a)
             assert np.linalg.norm(logm(a) - truth) <= 1e-13 * np.linalg.norm(truth)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_positive_scale_shifts_log(self, dim):
+        # a positive scale keeps every eigenvalue's argument, so
+        # logm(alpha A) = ln(alpha) I + logm(A) on each branch
+        for seed in (1, 2, 3):
+            a = label_quotient(dim, seed)
+            for branch in (PRINCIPAL, 1):
+                base = logm(a, branch)
+                for alpha in (0.5, 2.0, math.e, 4.0, 1e3):
+                    shifted = base + math.log(alpha) * np.eye(dim)
+                    err = np.linalg.norm(logm(alpha * a, branch) - shifted)
+                    assert err <= 1e-13 * np.linalg.norm(shifted), (seed, branch, alpha)
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(a=logm_inputs(), branch=st.integers(-3, 3))
@@ -250,12 +265,14 @@ class TestLogm:
 
     @pytest.mark.parametrize("eps", [6e-9, 8e-9])
     def test_straddling_pair_past_gap_tolerance_rejected(self, eps):
-        # the gap 2 * eps is above 1e-8, yet the coupling is 1e8 times it
+        # the gap 2 * eps is above 1e-8, yet the coupling is 1e8 times it;
+        # the guard is a ratio, so a positive scale does not move it
         t = np.array(
             [[-1.0 + eps * 1j, 1.0], [0.0, -1.0 - eps * 1j]], dtype=complex
         )
-        with pytest.raises(errors.IllConditionedError):
-            logm(t)
+        for scale in (1.0, 0.5, math.e, 1e3):
+            with pytest.raises(errors.IllConditionedError):
+                logm(scale * t)
 
     @pytest.mark.parametrize("eps", [1e-9, 8e-9, 1e-6, 1e-4, 1e-3, 1e-2, 1e-1])
     def test_rotated_straddling_cluster_meets_contract_or_raises(self, eps):

@@ -135,21 +135,39 @@ class TestSolveThreeLayer:
         with pytest.raises(errors.InstanceRejectedError):
             solver.solve_three_layer(inst)
 
-    @pytest.mark.parametrize("alpha", [0.0, -2.0, 1.0, 1.0005])
+    @pytest.mark.parametrize("alpha", [0.0, -2.0, 1.0, 1.0005, math.inf])
     def test_alpha_validation(self, alpha):
         inst = admitted_instance(2, seed=66)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="alpha"):
             solver.solve_three_layer(inst, alpha=alpha)
-        with pytest.raises(ValueError):
-            solver.compute_z(inst.y1, inst.y2, alpha)
 
     def test_z_satisfies_definition(self):
         inst = admitted_instance(4, seed=77)
         from expnet.matfuncs import expm
 
-        z = solver.compute_z(inst.y1, inst.y2, 2.0)
+        z = solver.solve_three_layer(inst, alpha=2.0).z
         target = 2.0 * (linalg.inverse(inst.y1) @ inst.y2)
         assert_allclose(expm(z), target, rtol=1e-10, atol=1e-12)
+
+    def test_one_alpha_free_logarithm(self, monkeypatch):
+        # every alpha and branch takes logm of the same Y1^-1 Y2, and Z
+        # is that logarithm shifted by ln(alpha) I
+        args, logs = [], []
+        real_logm = solver.logm
+
+        def recording_logm(a, branch):
+            args.append(a.copy())
+            logs.append(real_logm(a, branch))
+            return logs[-1]
+
+        monkeypatch.setattr(solver, "logm", recording_logm)
+        inst = admitted_instance(4, seed=77)
+        for alpha in (0.5, 2.0, math.e):
+            for branch in (0, 1):
+                z = solver.solve_three_layer(inst, alpha=alpha, branch=branch).z
+                shift = math.log(alpha) * np.eye(4)
+                assert_array_equal(z, logs[-1] + shift)
+        assert all(a.tobytes() == args[0].tobytes() for a in args)
 
     def test_eval_dimension_mismatch(self):
         inst = admitted_instance(2, seed=88)
