@@ -9,7 +9,6 @@ entry-wise activations lack this power (:mod:`expnet.experiment`).
 """
 
 from .errors import (
-    ActivationSingularError,
     ComplexInputError,
     ConvergenceError,
     DimensionError,
@@ -19,7 +18,6 @@ from .errors import (
     MatrixFormatError,
     MaxResampleError,
     NearSingularError,
-    SingularInputError,
 )
 from .experiment import (
     ACTIVATIONS,

@@ -25,7 +25,6 @@ import numpy as np
 from . import experiment as xp
 from . import solver
 from .errors import (
-    ActivationSingularError,
     ComplexInputError,
     ConvergenceError,
     DimensionError,
@@ -34,7 +33,6 @@ from .errors import (
     MatrixFormatError,
     MaxResampleError,
     NearSingularError,
-    SingularInputError,
 )
 from .linalg import load_matrix, save_matrix
 from .matfuncs import PRINCIPAL, expm, logm
@@ -294,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 _EXIT_CODES = (
     ((InstanceRejectedError, MaxResampleError, ComplexInputError), 3),
     ((json.JSONDecodeError, MatrixFormatError, DimensionError, OSError), 4),
-    ((SingularInputError, IllConditionedError, NearSingularError, ConvergenceError,
-      ActivationSingularError, OverflowError, FloatingPointError), 5),
+    ((IllConditionedError, NearSingularError, ConvergenceError, OverflowError), 5),
     ((ValueError,), 2),
 )
 _HANDLED = tuple(cls for classes, _ in _EXIT_CODES for cls in classes)

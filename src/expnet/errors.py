@@ -1,9 +1,9 @@
 """Exception taxonomy shared across the package.
 
-Numerical failure modes are structured errors, never silent garbage:
-singular inputs, rejected problem instances, and resampling exhaustion
-each get their own class so callers (and the CLI exit-code table) can
-tell them apart.
+Numerical failure modes are structured errors, never silent garbage,
+with one class per failure so callers (and the CLI exit-code table) can
+tell them apart: a matrix at or below an rcond floor, in ``inverse``,
+``logm`` or the descent's sigma(W X2), raises :class:`NearSingularError`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class MatrixFormatError(ExpnetError, ValueError):
 
 
 class NearSingularError(ExpnetError):
-    """A matrix failed its reciprocal-condition floor.
+    """A matrix is at or below its rcond floor, or has a zero eigenvalue.
 
     Carries the offending estimate in ``rcond``.
     """
@@ -38,11 +38,6 @@ class ConvergenceError(ExpnetError):
     """An iterative kernel exceeded its iteration cap."""
 
 
-class SingularInputError(ExpnetError):
-    """Input has a zero (or numerically zero) eigenvalue where an
-    invertible matrix is required."""
-
-
 class IllConditionedError(ExpnetError):
     """A defective eigenvalue cluster straddles the logarithm branch cut,
     so no accurate primary logarithm can be returned."""
@@ -51,15 +46,6 @@ class IllConditionedError(ExpnetError):
 class InstanceRejectedError(ExpnetError):
     """A problem instance failed admission (some reciprocal-condition
     estimate at or below the threshold, or a degenerate configuration)."""
-
-
-class ActivationSingularError(ExpnetError):
-    """The activated matrix sigma(W1 @ X2) failed its rcond floor;
-    the caller is expected to resample W1."""
-
-    def __init__(self, message: str, rcond: float):
-        super().__init__(message)
-        self.rcond = rcond
 
 
 class ComplexInputError(ExpnetError):

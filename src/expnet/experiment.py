@@ -36,12 +36,12 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import (
-    ActivationSingularError,
     ComplexInputError,
     InstanceRejectedError,
     MaxResampleError,
+    NearSingularError,
 )
-from .linalg import inverse, lu_factor, lu_solve
+from .linalg import inverse, lu_factor, lu_solve, require_positive
 from .solver import MAX_RESAMPLES, ProblemInstance, draw_instance
 
 #: Largest imaginary magnitude tolerated when coercing inputs to reals.
@@ -156,10 +156,10 @@ def _forward(w, quad, activation):
     s2 = activation.apply(w @ x2)
     factors = lu_factor(s2)
     if factors.rcond <= ACTIVATION_RCOND_FLOOR:
-        raise ActivationSingularError(
+        raise NearSingularError(
             f"sigma(W X2) is near singular (rcond {factors.rcond:.3e} <= "
             f"{ACTIVATION_RCOND_FLOOR:g})",
-            factors.rcond,
+            rcond=factors.rcond,
         )
     m = lu_solve(factors, s1)
     r = y1 - y2 @ m
@@ -245,6 +245,8 @@ class ExperimentConfig:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        if self.learning_rate is not None:
+            require_positive(self.learning_rate, "learning_rate")
         get_activation(self.activation)
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
@@ -322,7 +324,7 @@ def _descend(w0, quad, denom, config: ExperimentConfig, activation) -> list:
     is unstable near the default lr and loses the dimension trend.
 
     Raises FloatingPointError on any non-finite score or gradient and
-    ActivationSingularError when sigma(W X2) degenerates; the caller
+    NearSingularError when sigma(W X2) degenerates; the caller
     resamples W and retries.
     """
     step_size = config.effective_learning_rate / denom
@@ -354,7 +356,7 @@ def _run_seed(seed: int, config: ExperimentConfig) -> SeedRun:
         w0 = rng.normal(0.0, math.sqrt(1.0 / config.dim), size=(config.dim, config.dim))
         try:
             series = _descend(w0, quad, denom, config, activation)
-        except (ActivationSingularError, FloatingPointError):
+        except (NearSingularError, FloatingPointError):
             w_resamples += 1
             if w_resamples >= MAX_RESAMPLES:
                 raise MaxResampleError(

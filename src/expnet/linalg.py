@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -37,8 +38,8 @@ from .errors import (
 CMatrix = np.ndarray
 
 #: rcond at or below which a matrix counts as singular to working
-#: precision: :func:`inverse` raises NearSingularError there, and
-#: :func:`~expnet.matfuncs.logm` SingularInputError.
+#: precision: :func:`inverse` and :func:`~expnet.matfuncs.logm` raise
+#: NearSingularError there.
 SINGULAR_RCOND = 1e-10
 
 _GAUSSIAN_KINDS = ("complex-gaussian", "real-gaussian")
@@ -76,6 +77,12 @@ def require_finite(a: np.ndarray, what: str = "matrix", error: type = ValueError
     """Raise ``error`` unless every entry of ``a``, real or complex, is finite."""
     if not np.isfinite(a).all():
         raise error(f"{what} entries must be finite (no NaN/Inf)")
+
+
+def require_positive(value: float, what: str) -> None:
+    """Raise ValueError unless the scalar ``value`` is positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
 def _check_square(a: np.ndarray, name: str = "matrix") -> None:
@@ -125,7 +132,8 @@ def lu_factor(a: CMatrix) -> LuFactors:
     is the LAPACK 1-norm reciprocal condition number computed from the
     factors and the input's 1-norm. That norm comes from dlange for real
     input and from numpy for complex input: zlange's modulus is not
-    bit-equal to numpy's, and the rconds would move.
+    bit-equal to numpy's, and the rconds would move. A NaN or infinite
+    entry, or a 1-norm past float64 range, raises ValueError.
     """
     _check_square(a)
     real = not np.iscomplexobj(a)
@@ -142,6 +150,8 @@ def lu_factor(a: CMatrix) -> LuFactors:
         anorm = lapack.lange("I", a.T)
     else:
         anorm = float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(anorm):
+        raise ValueError(f"matrix entries must be finite (no NaN/Inf); 1-norm {anorm}")
     if info > 0 or anorm == 0.0:
         return LuFactors(lu=lu, piv=piv, rcond=0.0)
     rcond, info = lapack.gecon(lu, anorm)  # 1-norm estimate

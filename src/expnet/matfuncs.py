@@ -29,7 +29,7 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     IllConditionedError,
-    SingularInputError,
+    NearSingularError,
 )
 from .linalg import (
     CMatrix,
@@ -279,9 +279,9 @@ def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
 
     Raises
     ------
-    SingularInputError
+    NearSingularError
         rcond at or below :data:`~expnet.linalg.SINGULAR_RCOND`, or a zero
-        eigenvalue in the Schur form.
+        eigenvalue in the Schur form; ``rcond`` holds the LU estimate.
     IllConditionedError
         Coupled near-multiple eigenvalues straddling the branch cut (a
         pair coupled above 200 times its gap, or an entry of the
@@ -296,12 +296,13 @@ def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
     require_finite(a)
     factors = lu_factor(a)
     if factors.rcond <= SINGULAR_RCOND:
-        raise SingularInputError(
-            f"matrix is singular to working precision (rcond {factors.rcond:.3e})"
+        raise NearSingularError(
+            f"matrix is singular to working precision (rcond {factors.rcond:.3e})",
+            rcond=factors.rcond,
         )
     form = schur_decompose(a)
     if np.any(form.eigenvalues == 0):
-        raise SingularInputError("zero eigenvalue; no logarithm exists")
+        raise NearSingularError("zero eigenvalue; no logarithm exists", factors.rcond)
     spans_cut = _reject_straddling_clusters(form)
     log_t = _logm_triu(form.t)
     # the pair test misses longer coupled chains astride the cut
@@ -330,7 +331,9 @@ def jordan_block_log(lam: complex, m: int) -> CMatrix:
         raise ValueError(f"block size must be >= 1, got {m}")
     lam = complex(lam)
     if lam == 0:
-        raise SingularInputError("Jordan block with zero eigenvalue has no logarithm")
+        raise NearSingularError(
+            "Jordan block with zero eigenvalue has no logarithm", rcond=0.0
+        )
     out = np.zeros((m, m), dtype=np.complex128)
     np.fill_diagonal(out, _principal_log(lam))
     for j in range(1, m):

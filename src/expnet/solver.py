@@ -36,6 +36,7 @@ from .errors import (
     InstanceRejectedError,
     MatrixFormatError,
     MaxResampleError,
+    NearSingularError,
 )
 from .linalg import (
     CMatrix,
@@ -47,6 +48,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     require_finite,
+    require_positive,
     save_matrix,
 )
 from .matfuncs import PRINCIPAL, expm, logm
@@ -113,13 +115,8 @@ def make_instance(x1, x2, y1, y2) -> ProblemInstance:
     dims = {m.shape[0] for m in (x1, x2, y1, y2)}
     if len(dims) != 1:
         raise DimensionError(f"instance matrices disagree on dimension: {sorted(dims)}")
-    rconds = {
-        "x1": lu_factor(x1).rcond,
-        "x2": lu_factor(x2).rcond,
-        "y1": lu_factor(y1).rcond,
-        "y2": lu_factor(y2).rcond,
-        "x1_minus_x2": lu_factor(x1 - x2).rcond,
-    }
+    matrices = (x1, x2, y1, y2, x1 - x2)
+    rconds = {key: lu_factor(m).rcond for key, m in zip(_RCOND_KEYS, matrices)}
     return ProblemInstance(x1=x1, x2=x2, y1=y1, y2=y2, rconds=rconds)
 
 
@@ -201,8 +198,7 @@ class SolveReport:
 
 
 def _validate_alpha(alpha: float) -> None:
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    require_positive(alpha, "alpha")
     if abs(alpha - 1.0) < MIN_ALPHA_GAP:
         raise ValueError(
             f"alpha must differ from 1 by at least {MIN_ALPHA_GAP}, got {alpha}"
@@ -274,6 +270,7 @@ def _expm_or_none(a: np.ndarray) -> CMatrix | None:
         return None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # blowups become inf, not warnings
 def verify(
     weights: ThreeLayerWeights, inst: ProblemInstance, tol: float = DEFAULT_TOLERANCE
 ) -> SolveReport:
@@ -296,10 +293,13 @@ def verify(
 
     Raises
     ------
+    ValueError
+        If ``tol`` is not positive and finite.
     DimensionError
         If the weights and the instance differ in dimension. Otherwise
         never raises: numerical blowups surface as infinite values.
     """
+    require_positive(tol, "tol")
     if weights.dim != inst.dim:
         raise DimensionError(
             f"dimension mismatch: weights are {weights.dim} x {weights.dim}, "
@@ -335,7 +335,8 @@ def verify(
             checks["z_definition"] = _ratio(
                 float(norm(ez - alpha * (inverse(inst.y1) @ inst.y2))), float(norm(ez))
             )
-        except Exception:  # verify never raises; checks not reached stay inf
+        # the failures of expm, lu_factor and inverse; checks not reached stay inf
+        except (OverflowError, ValueError, NearSingularError):
             pass
 
     passed = residual1 <= tol and residual2 <= tol

@@ -253,7 +253,7 @@ def test_criterion_7_gradient_correctness():
         w = rng.normal(0.0, 0.6, (dim, dim))
         try:
             g = en.two_layer_gradient(w, inst, "sigmoid")
-        except en.ActivationSingularError:
+        except en.NearSingularError:
             continue
         ref = np.zeros_like(w)
         for i in range(dim):
@@ -323,4 +323,26 @@ def test_criterion_8_residuals_match_exact_oracle():
         not disagreements,
         f"{len(cases)} instances d<=8, worst float/exact ratio {worst_ratio:.2f} "
         f"above 1e-13, disagreements {disagreements}",
+    )
+
+
+def test_criterion_9_one_layer_solves_one_equation(battery):
+    # The paper's contrast: a single linear layer W = Y1 X1^-1 fits the
+    # first pair exactly and misses the second, where the three-layer
+    # network above fits both. W comes from numpy, not from expnet.
+    rows, _ = battery
+    worst_fit, misses = 0.0, {d: [] for d in DIMS}
+    for d, per_dim in rows.items():
+        for (inst, _, _) in per_dim:
+            x1, x2, y1, y2 = inst.x1, inst.x2, inst.y1, inst.y2
+            w = np.linalg.solve(x1.T, y1.T).T
+            worst_fit = max(worst_fit, np.linalg.norm(w @ x1 - y1) / np.linalg.norm(y1))
+            misses[d].append(np.linalg.norm(w @ x2 - y2) / np.linalg.norm(y2))
+    least_miss = min(min(m) for m in misses.values())
+    medians = ", ".join(f"d={d} {statistics.median(m):.2f}" for d, m in misses.items())
+    _announce(
+        "9 one-layer-one-equation",
+        worst_fit <= 1e-10 and least_miss >= 0.5,
+        f"worst fit at pair 1 {worst_fit:.1e}, least miss at pair 2 "
+        f"{least_miss:.2f}, median miss {medians}",
     )

@@ -132,6 +132,11 @@ class TestSolveVerifyEval:
         report = json.loads((workdir / "scalar/report.json").read_text())
         assert max(report["residual1"], report["residual2"]) <= 1e-12
 
+    def test_infinite_tolerance_exit_2(self, workdir, capsys):
+        assert run_cli("gen", "--dim", "3", "--seed", "1", "--out", "inst") == 0
+        assert run_cli("solve", "--instance", "inst", "--tol", "inf") == 2
+        assert "tol" in capsys.readouterr().err
+
     def test_identical_data_points_exit_3(self, workdir):
         x = linalg.random_matrix(3, seed=1)
         inst = solver.make_instance(
@@ -181,13 +186,10 @@ class TestSolveVerifyEval:
         (errors.MatrixFormatError("entries"), 4),
         (errors.DimensionError("shape"), 4),
         (OSError("unreadable"), 4),
-        (errors.SingularInputError("singular"), 5),
         (errors.IllConditionedError("cut"), 5),
         (errors.NearSingularError("near singular", rcond=1e-12), 5),
         (errors.ConvergenceError("no convergence"), 5),
-        (errors.ActivationSingularError("sigma singular", rcond=0.0), 5),
         (OverflowError("overflow"), 5),
-        (FloatingPointError("nan"), 5),
         (ValueError("bad value"), 2),
     ],
     ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
@@ -200,6 +202,19 @@ def test_exit_code_table(workdir, monkeypatch, capsys, exc, code):
     monkeypatch.setattr(cli, "expm", failing_expm)
     assert run_cli("expm", "--in", "a.json") == code
     assert f"error [{type(exc).__name__}]" in capsys.readouterr().err
+
+
+def test_every_package_error_has_an_exit_code():
+    for cls in errors.ExpnetError.__subclasses__():
+        assert issubclass(cls, cli._HANDLED), cls.__name__
+
+
+def test_bad_learning_rate_exit_2(workdir, capsys):
+    # the suite runs with warnings as errors, so a warning would fail here
+    assert run_cli(
+        "experiment", "--dim", "3", "--steps", "20", "--seeds", "1", "--lr", "nan"
+    ) == 2
+    assert "learning_rate" in capsys.readouterr().err
 
 
 class TestMatrixFunctions:
@@ -229,7 +244,9 @@ class TestMatrixFunctions:
     def test_logm_singular_exit_5(self, workdir, capsys):
         linalg.save_matrix(workdir / "s.json", np.diag([1.0, 0.0]))
         assert run_cli("logm", "--in", "s.json") == 5
-        assert "singular" in capsys.readouterr().err.lower()
+        err = capsys.readouterr().err
+        assert "error [NearSingularError]" in err
+        assert "singular" in err.lower()
 
     @pytest.mark.parametrize(
         "body",

@@ -85,10 +85,10 @@ class TestScore:
     def test_singular_activation_rejected(self):
         inst = real_instance(3, seed=3)
         # sigma(0 * X) is constant, hence rank one
-        with pytest.raises(errors.ActivationSingularError):
-            xp.two_layer_objective(np.zeros((3, 3)), inst, "sigmoid")
-        with pytest.raises(errors.ActivationSingularError):
-            xp.two_layer_objective(np.zeros((3, 3)), inst, "relu")
+        for activation in ("sigmoid", "relu"):
+            with pytest.raises(errors.NearSingularError) as info:
+                xp.two_layer_objective(np.zeros((3, 3)), inst, activation)
+            assert info.value.rcond <= xp.ACTIVATION_RCOND_FLOOR
 
     def test_zero_baseline_rejected(self):
         x1 = np.diag([2.0, 3.0])
@@ -130,7 +130,7 @@ class TestGradient:
 
     @pytest.mark.parametrize("activation", ["sigmoid", "relu"])
     def test_matches_finite_differences(self, activation):
-        # relu trips ActivationSingularError on many draws (zeroed rows),
+        # relu trips NearSingularError on many draws (zeroed rows),
         # so sample enough points that at least 8 survive
         rng = np.random.default_rng(7)
         checked = 0
@@ -147,7 +147,7 @@ class TestGradient:
             try:
                 g = xp.two_layer_gradient(w, inst, activation)
                 ref = self.finite_difference(w, inst, activation)
-            except errors.ActivationSingularError:
+            except errors.NearSingularError:
                 continue
             assert np.linalg.norm(g - ref) <= 1e-5 * max(np.linalg.norm(ref), 1.0)
             checked += 1
@@ -218,6 +218,11 @@ class TestConfig:
             xp.ExperimentConfig(dim=4, seeds=())
         with pytest.raises(ValueError):
             xp.ExperimentConfig(dim=4, activation="tanh")
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -1e-3])
+    def test_learning_rate_must_be_positive_and_finite(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            xp.ExperimentConfig(dim=4, learning_rate=lr)
 
 
 class TestRunExperiment:
@@ -322,7 +327,7 @@ class TestRunExperiment:
             s2 = activation.apply(w @ x2)
             factors = linalg.lu_factor(s2)
             if factors.rcond <= rcond_floor:
-                raise errors.ActivationSingularError("singular", factors.rcond)
+                raise errors.NearSingularError("singular", factors.rcond)
             m = linalg.lu_solve(factors, s1)
             r = y1 - y2 @ m
             return Forward(s1=s1, s2=s2, factors=factors, m=m, r=r)
@@ -373,7 +378,7 @@ class TestRunExperiment:
                     series = descend(
                         w0, quad, denom, cfg.effective_learning_rate, cfg.steps, act
                     )
-                except (errors.ActivationSingularError, FloatingPointError):
+                except (errors.NearSingularError, FloatingPointError):
                     continue
                 return series, w_resamples, instance_resamples
 

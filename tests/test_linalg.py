@@ -137,6 +137,14 @@ class TestLu:
             ref = self.numpy_norm_rcond(a)
             assert np.float64(linalg.lu_factor(a).rcond).tobytes() == np.float64(ref).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, dtype, bad):
+        a = np.eye(3, dtype=dtype)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            linalg.lu_factor(a)
+
     def test_empty_matrix_is_quiet(self, capfd):
         f = linalg.lu_factor(np.zeros((0, 0)))
         assert f.rcond == 0.0

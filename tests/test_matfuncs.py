@@ -175,7 +175,7 @@ class TestLogm:
         try:
             lg = logm(a, branch)
         except (
-            errors.SingularInputError,
+            errors.NearSingularError,
             errors.IllConditionedError,
             errors.ConvergenceError,
         ):
@@ -190,7 +190,7 @@ class TestLogm:
         try:
             lg = logm(a, branch)
         except (
-            errors.SingularInputError,
+            errors.NearSingularError,
             errors.IllConditionedError,
             errors.ConvergenceError,
         ):
@@ -245,13 +245,15 @@ class TestLogm:
         assert np.linalg.norm(expm(down) - a) <= 1e-8 * np.linalg.norm(a)
 
     def test_singular_rejected(self):
-        with pytest.raises(errors.SingularInputError) as info:
+        with pytest.raises(errors.NearSingularError) as info:
             logm(np.diag([1.0, 2.0, 0.0]))
         assert "singular" in str(info.value).lower()
+        assert info.value.rcond <= linalg.SINGULAR_RCOND
 
     def test_near_singular_rejected(self):
-        with pytest.raises(errors.SingularInputError):
+        with pytest.raises(errors.NearSingularError) as info:
             logm(np.diag([1.0, 1e-13]))
+        assert info.value.rcond <= linalg.SINGULAR_RCOND
 
     def test_defective_straddling_cluster_rejected(self):
         # coupled near-equal eigenvalues astride the negative real axis:
@@ -398,8 +400,9 @@ class TestJordanBlockLog:
                 )
 
     def test_zero_eigenvalue_rejected(self):
-        with pytest.raises(errors.SingularInputError):
+        with pytest.raises(errors.NearSingularError) as info:
             jordan_block_log(0.0, 3)
+        assert info.value.rcond == 0.0
 
 
 class TestCommutingProduct:

@@ -196,6 +196,36 @@ class TestVerifyRobustness:
         assert not rep.passed
         assert rep.residual1 == math.inf or rep.residual1 > rep.tol
 
+    def test_overflowing_residual_is_quiet(self):
+        # the norm of f(X) - Y overflows; the suite turns warnings into errors
+        inst = admitted_instance(3, seed=1)
+        w = solver.solve_three_layer(inst)
+        bad = solver.ThreeLayerWeights(
+            w1=w.w1, w2=w.w2, w3=w.w3 * 1e300, alpha=w.alpha, z=w.z
+        )
+        rep = solver.verify(bad, inst)
+        assert rep.residual1 == rep.residual2 == math.inf
+        assert rep.identity_checks["commutant_form"] <= 1e-12
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-6])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # an infinite tol would pass weights whose residual is infinite
+        inst = admitted_instance(3, seed=1)
+        w = solver.solve_three_layer(inst)
+        with pytest.raises(ValueError, match="tol"):
+            solver.verify(w, inst, tol=tol)
+
+    def test_unexpected_errors_propagate(self, monkeypatch):
+        # the check block catches only the documented numerical failures
+        def broken_lu_factor(a):
+            raise TypeError("not a numerical failure")
+
+        inst = admitted_instance(2, seed=9)
+        w = solver.solve_three_layer(inst)
+        monkeypatch.setattr(solver, "lu_factor", broken_lu_factor)
+        with pytest.raises(TypeError):
+            solver.verify(w, inst)
+
     def test_only_second_forward_pass_overflows(self):
         # expm(W1 X1) = e^-10 but expm(W1 X2) = e^10, so W2 expm(W1 X2)
         # has norm 2e4 and its exponential overflows
