@@ -4,7 +4,8 @@ Subcommands: gen, solve, eval, verify, expm, logm, experiment. All file
 exchange uses the package's matrix JSON format; the experiment writes a
 trace CSV plus a JSON sidecar.
 
-Exit codes (stable contract):
+``run(argv)`` is the in-process entry point: it returns the exit code,
+and ``main()`` exits the process with it. Exit codes (stable contract):
     0  success / verification passed
     2  usage or flag validation error
     3  instance rejected or resampling exhausted
@@ -16,6 +17,7 @@ Exit codes (stable contract):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,7 +36,7 @@ from .errors import (
     MaxResampleError,
     NearSingularError,
 )
-from .linalg import load_matrix, save_matrix
+from .linalg import load_matrix, save_json, save_matrix
 from .matfuncs import PRINCIPAL, expm, logm
 
 
@@ -72,12 +74,6 @@ def _report_exit_code(report: solver.SolveReport) -> int:
     return 5
 
 
-def _write_report(path, report: solver.SolveReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(solver.report_to_json(report), fh, indent=2)
-        fh.write("\n")
-
-
 def _instance_dir(path) -> str:
     return path if os.path.isdir(path) else os.path.dirname(os.path.abspath(path))
 
@@ -104,7 +100,7 @@ def cmd_solve(args) -> int:
     weights_path = args.weights_out or os.path.join(base, "weights.json")
     report_path = args.report_out or os.path.join(base, "report.json")
     solver.save_weights(weights_path, weights)
-    _write_report(report_path, report)
+    save_json(report_path, solver.report_to_json(report), indent=2)
     print(f"wrote {weights_path}")
     print(f"wrote {report_path}")
     return _report_exit_code(report)
@@ -115,7 +111,7 @@ def cmd_verify(args) -> int:
     weights = solver.load_weights(args.weights)
     report = solver.verify(weights, inst, tol=args.tol)
     if args.report_out:
-        _write_report(args.report_out, report)
+        save_json(args.report_out, solver.report_to_json(report), indent=2)
     return _report_exit_code(report)
 
 
@@ -175,7 +171,14 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process.
+
+    Its defaults are read from the library on that first build. Reuse is
+    safe: every ``parse_args`` makes a fresh ``Namespace``, and argparse
+    looks up ``sys.stdout`` and ``sys.stderr`` only when it prints.
+    """
     parser = argparse.ArgumentParser(
         prog="expnet",
         description=(
@@ -299,8 +302,11 @@ _HANDLED = tuple(cls for classes, _ in _EXIT_CODES for cls in classes)
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command in-process and return its exit code."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage errors exit 2, --help exits 0
+        return exc.code
     try:
         return args.func(args)
     except _HANDLED as exc:

@@ -25,7 +25,6 @@ nonnegligible imaginary part are rejected rather than silently truncated.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import statistics
@@ -41,7 +40,7 @@ from .errors import (
     MaxResampleError,
     NearSingularError,
 )
-from .linalg import inverse, lu_factor, lu_solve, require_positive
+from .linalg import inverse, lu_factor, lu_solve, require_positive, save_json
 from .solver import MAX_RESAMPLES, ProblemInstance, draw_instance
 
 #: Largest imaginary magnitude tolerated when coercing inputs to reals.
@@ -430,7 +429,5 @@ def write_trace_csv(trace: ExperimentTrace, csv_path) -> str:
                 writer.writerow([run.seed, step, float(s)])
     sidecar_path = os.path.splitext(str(csv_path))[0] + ".config.json"
     sidecar = {"config": config_to_json(trace.config), "summary": trace_summary(trace)}
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    save_json(sidecar_path, sidecar, indent=2)
     return sidecar_path

@@ -330,11 +330,22 @@ def matrix_from_json(obj: dict) -> CMatrix:
     return cmatrix(pairs.view(np.complex128)[..., 0])
 
 
+def save_json(path, obj, indent=None) -> None:
+    """Write ``obj`` as one JSON document plus a newline.
+
+    One ``json.dumps`` call and one write: ``json.dump`` streams through
+    the pure-Python encoder. ``obj`` must hold no reference cycle, as the
+    trees the package builds for its files do not: the circular-reference
+    walk is skipped.
+    """
+    text = json.dumps(obj, indent=indent, check_circular=False) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def save_matrix(path, a: CMatrix) -> None:
     """Write a matrix JSON file."""
-    # one json.dumps call: json.dump streams through the pure-Python encoder
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(matrix_to_json(a)) + "\n")
+    save_json(path, matrix_to_json(a))
 
 
 def load_matrix(path) -> CMatrix:

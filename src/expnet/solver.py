@@ -49,6 +49,7 @@ from .linalg import (
     matrix_to_json,
     require_finite,
     require_positive,
+    save_json,
     save_matrix,
 )
 from .matfuncs import PRINCIPAL, expm, logm
@@ -397,8 +398,7 @@ def report_to_json(report: SolveReport) -> dict:
 
 
 def save_weights(path, weights: ThreeLayerWeights) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(weights_to_json(weights)) + "\n")
+    save_json(path, weights_to_json(weights))
 
 
 def load_weights(path) -> ThreeLayerWeights:
@@ -422,9 +422,7 @@ def save_instance(directory, inst: ProblemInstance, manifest_extra: dict | None 
     if manifest_extra:
         manifest.update(manifest_extra)
     manifest_path = os.path.join(directory, "instance.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    save_json(manifest_path, manifest, indent=2)
     return manifest_path
 
 

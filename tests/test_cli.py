@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pathlib
 import shlex
 import subprocess
@@ -171,7 +172,9 @@ class TestSolveVerifyEval:
 
     def test_solve_defaults_come_from_the_library(self, monkeypatch):
         monkeypatch.setattr(solver, "DEFAULT_ALPHA", 2.0)
-        args = cli.build_parser().parse_args(["solve", "--instance", "inst"])
+        # the cached parser read its defaults when an earlier test built it
+        parser = cli.build_parser.__wrapped__()
+        args = parser.parse_args(["solve", "--instance", "inst"])
         assert args.alpha == 2.0
         assert args.branch_offset == PRINCIPAL
 
@@ -353,6 +356,77 @@ class TestExperimentCommand:
         assert run_cli("experiment", "--dim", "3", "--seeds", "9..1") == 2
 
     def test_usage_error_unknown_flag(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            run_cli("gen", "--dimension", "4")
-        assert info.value.code == 2
+        assert run_cli("gen", "--dimension", "4") == 2
+
+
+class TestInProcessRun:
+    """``cli.run`` returns argparse's exit code and reuses one parser."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve"], ["gen", "--dim", "x", "--seed", "1"], ["frobnicate"]],
+        ids=["missing-flag", "bad-type", "unknown-command"],
+    )
+    def test_usage_error_returns_2(self, capsys, argv):
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: expnet")
+
+    def test_help_returns_0(self, capsys):
+        assert cli.run(["--help"]) == 0
+        out, err = capsys.readouterr()
+        assert "usage" in out
+        assert err == ""
+
+    def test_flag_values_do_not_carry_over(self, workdir, capsys):
+        run_cli("gen", "--dim", "3", "--seed", "5", "--out", "inst")
+        assert run_cli("solve", "--instance", "inst", "--weights-out", "other.json") == 0
+        assert (workdir / "other.json").exists()
+        assert not (workdir / "inst/weights.json").exists()
+        (workdir / "other.json").unlink()
+        assert run_cli("solve", "--instance", "inst") == 0
+        assert (workdir / "inst/weights.json").exists()
+        assert not (workdir / "other.json").exists()
+
+    def test_usage_error_then_valid_command(self, workdir, capsys):
+        assert run_cli("solve") == 2
+        assert run_cli("gen", "--dim", "2", "--seed", "1") == 0
+        assert (workdir / "instance-d2-s1/instance.json").exists()
+
+    def test_chains_match_a_fresh_process(self, workdir, capsys):
+        def chain(where):
+            inst = f"{where}/inst"
+            steps = (
+                ["gen", "--dim", "4", "--seed", "3", "--out", inst],
+                ["solve", "--instance", inst],
+                ["verify", "--instance", inst, "--weights", f"{inst}/weights.json",
+                 "--report-out", f"{where}/verify.json"],
+                ["eval", "--weights", f"{inst}/weights.json", "--in", f"{inst}/x1.json",
+                 "--out", f"{where}/fx1.json"],
+                ["logm", "--in", f"{inst}/y1.json", "--out", f"{where}/y1.logm.json"],
+            )
+            for argv in steps:
+                assert cli.run(argv) == 0, argv
+
+        chain("a")
+        chain("b")
+        src = pathlib.Path(cli.__file__).parents[1]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "expnet", "solve", "--instance", "a/inst",
+             "--weights-out", "fresh-weights.json", "--report-out", "fresh-report.json"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        for name in ("inst/instance.json", "inst/x1.json", "inst/weights.json",
+                     "inst/report.json", "verify.json", "fx1.json", "y1.logm.json"):
+            assert (workdir / "a" / name).read_bytes() == (workdir / "b" / name).read_bytes()
+        assert (workdir / "fresh-weights.json").read_bytes() == (
+            workdir / "a/inst/weights.json"
+        ).read_bytes()
+        report = (workdir / "a/inst/report.json").read_bytes()
+        assert (workdir / "fresh-report.json").read_bytes() == report
+        assert (workdir / "a/verify.json").read_bytes() == report

@@ -311,6 +311,18 @@ class TestMatrixJson:
             assert path.read_bytes() == expected.encode("utf-8")
             assert_array_equal(linalg.load_matrix(path), a)
 
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_save_json_bytes_match_json_dump(self, tmp_path, indent):
+        obj = {"dim": 2, "rconds": {"x1": 0.25, "x2": 1e-300}, "files": ["a", "b"],
+               "pass": True, "seed": None, "kind": "complex-gaussian"}
+        reference = tmp_path / "reference.json"
+        with open(reference, "w", encoding="utf-8") as fh:  # the streaming writer
+            json.dump(obj, fh, indent=indent)
+            fh.write("\n")
+        path = tmp_path / "m.json"
+        linalg.save_json(path, obj, indent=indent)
+        assert path.read_bytes() == reference.read_bytes()
+
     def test_save_deterministic(self, tmp_path):
         a = linalg.random_matrix(3, seed=5)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
