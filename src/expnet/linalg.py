@@ -79,6 +79,15 @@ def require_finite(a: np.ndarray, what: str = "matrix", error: type = ValueError
         raise error(f"{what} entries must be finite (no NaN/Inf)")
 
 
+def one_norm(a: np.ndarray) -> float:
+    """The 1-norm (largest column sum of moduli), 0 for an empty matrix.
+
+    The same bits as ``np.linalg.norm(a, 1)``, without its dispatch. It
+    is finite exactly when every entry is and the sum does not overflow.
+    """
+    return np.abs(a).sum(axis=0).max(initial=0.0)
+
+
 def require_positive(value: float, what: str) -> None:
     """Raise ValueError unless the scalar ``value`` is positive and finite."""
     if not (value > 0 and math.isfinite(value)):
@@ -149,7 +158,7 @@ def lu_factor(a: CMatrix) -> LuFactors:
         # numpy does, so the norm has the same bits
         anorm = lapack.lange("I", a.T)
     else:
-        anorm = float(np.abs(a).sum(axis=0).max())
+        anorm = float(one_norm(a))
     if not math.isfinite(anorm):
         raise ValueError(f"matrix entries must be finite (no NaN/Inf); 1-norm {anorm}")
     if info > 0 or anorm == 0.0:
@@ -181,10 +190,14 @@ def lu_solve(factors: LuFactors, b: np.ndarray, trans: int = 0) -> np.ndarray:
     return x
 
 
-def inverse(a: CMatrix) -> CMatrix:
+def inverse(a: CMatrix, factors: LuFactors | None = None) -> CMatrix:
     """Invert a square matrix, guarded by the floor ``SINGULAR_RCOND``.
 
-    The inverse has the input's field (see :func:`lu_factor`).
+    ``factors`` is :func:`lu_factor` of ``a`` when the caller already
+    holds it (a :class:`~expnet.solver.ProblemInstance` keeps those of
+    its matrices); the inverse is then solved from them, bit-equal to
+    ``inverse(a)``, and ``a`` only gives the order. The inverse has the
+    input's field (see :func:`lu_factor`).
     Residual behavior: measured over random well-conditioned inputs the
     multiply-back error satisfies ``||a @ inverse(a) - I||_F <= c * d *
     eps / rcond`` with c < 5 (c ~= 0.3 typical at d <= 16).
@@ -194,7 +207,8 @@ def inverse(a: CMatrix) -> CMatrix:
     NearSingularError
         When the 1-norm rcond estimate is at or below ``SINGULAR_RCOND``.
     """
-    factors = lu_factor(a)
+    if factors is None:
+        factors = lu_factor(a)
     if factors.rcond <= SINGULAR_RCOND:
         raise NearSingularError(
             f"matrix is near-singular: rcond {factors.rcond:.3e} <= floor "

@@ -38,6 +38,7 @@ from .linalg import (
     _check_square,
     _lapack,
     lu_factor,
+    one_norm,
     require_finite,
     schur_decompose,
 )
@@ -94,15 +95,19 @@ def expm(a: CMatrix) -> CMatrix:
 
     Raises
     ------
+    ValueError
+        If an entry is NaN or infinite.
     OverflowError
         If ``||a||_1 > 1e8``, or if entries overflow during the repeated
         squaring (e^||a|| beyond float range).
     """
     _check_square(a)
     a = np.asarray(a, dtype=np.complex128)
-    require_finite(a)
-    anorm = float(np.linalg.norm(a, 1))
-    if anorm > EXPM_NORM_LIMIT:
+    # one pass guards both contracts: the 1-norm is finite exactly when
+    # every entry is, so the finiteness scan only runs on refusal
+    anorm = float(one_norm(a))
+    if not anorm <= EXPM_NORM_LIMIT:
+        require_finite(a)
         raise OverflowError(
             f"||a||_1 = {anorm:.3e} exceeds {EXPM_NORM_LIMIT:.0e}; entries would overflow"
         )
@@ -128,7 +133,7 @@ def _sqrtm_triu(t: np.ndarray) -> np.ndarray:
     magnitude = np.abs(r)
     # the diagonal holds roots of finite numbers, so it never sets the
     # verdict; a NaN anywhere fails the comparison
-    if not magnitude.max() <= SQRT_ENTRY_LIMIT * np.diagonal(magnitude).max():
+    if not magnitude.max() <= SQRT_ENTRY_LIMIT * magnitude.diagonal().max():
         raise IllConditionedError(
             "two coupled eigenvalues straddle the logarithm branch cut; "
             "the triangular square root blew up"
@@ -190,15 +195,23 @@ def _pade_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     return (nodes + 1.0) / 2.0, weights / 2.0
 
 
+def _check_root_cap(roots: int) -> None:
+    if roots >= LOGM_MAX_SQRTS:
+        raise ConvergenceError("square-root chain failed to reach the Pade region")
+
+
 def _logm_triu(t: np.ndarray) -> np.ndarray:
     """Principal logarithm of an upper-triangular matrix.
 
     Inverse scaling and squaring after Al-Mohy & Higham (SISC 2012),
-    Algorithm 4.1 without its extra-root heuristic. Principal square
-    roots are taken until X = T^(1/2^s) - I has
-    alpha_2(X) = max(||X^2||_1^(1/2), ||X^3||_1^(1/3)) <= theta_7 (the
-    powers are only formed once the diagonal of X, a lower bound, is
-    inside). The smallest m with alpha_2(X) <= theta_m picks the [m/m]
+    Algorithm 4.1 without its extra-root heuristic. The diagonal of
+    X = T^(1/2^s) - I is a lower bound on alpha_2(X), and the diagonal of
+    a triangular root is the scalar roots of the diagonal, so s starts
+    as the number of scalar square roots that bring every eigenvalue
+    within theta_7 of 1; that many principal roots of T are taken with
+    no test in between. Further roots follow until
+    alpha_2(X) = max(||X^2||_1^(1/2), ||X^3||_1^(1/3)) <= theta_7. The
+    smallest m with alpha_2(X) <= theta_m picks the [m/m]
     Pade approximant, evaluated as sum_j w_j (I + x_j X)^-1 X over the
     Gauss-Legendre nodes x_j and weights w_j on [0, 1]: m triangular
     solves. The result is multiplied by 2^s, and its diagonal is finally
@@ -210,26 +223,25 @@ def _logm_triu(t: np.ndarray) -> np.ndarray:
     # the sheet of the exact diagonal logs below
     t = np.asarray(t, dtype=np.complex128) + 0.0
     theta = LOGM_PADE_THETA[-1]
-    work = t
+    diagonal = t.diagonal()
     roots = 0
+    while np.abs(diagonal - 1.0).max() > theta:
+        _check_root_cap(roots)
+        diagonal = np.sqrt(diagonal)
+        roots += 1
+    work = t
     with warnings.catch_warnings():
         # a blown-up root is reported by _sqrtm_triu, not as a warning
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        for _ in range(roots):
+            work = _sqrtm_triu(work)
         while True:
             x = work - eye
-            # the spectral radius of X is a lower bound on alpha_2(X)
-            if np.abs(np.diagonal(x)).max() <= theta:
-                x2 = x @ x
-                alpha = max(
-                    np.linalg.norm(x2, 1) ** 0.5,
-                    np.linalg.norm(x2 @ x, 1) ** (1.0 / 3.0),
-                )
-                if alpha <= theta:
-                    break
-            if roots >= LOGM_MAX_SQRTS:
-                raise ConvergenceError(
-                    "square-root chain failed to reach the Pade region"
-                )
+            x2 = x @ x
+            alpha = max(one_norm(x2) ** 0.5, one_norm(x2 @ x) ** (1.0 / 3.0))
+            if alpha <= theta:
+                break
+            _check_root_cap(roots)
             work = _sqrtm_triu(work)
             roots += 1
     nodes, weights = _pade_nodes(bisect.bisect_left(LOGM_PADE_THETA, alpha) + 1)

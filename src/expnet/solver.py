@@ -94,6 +94,10 @@ class ProblemInstance:
     four matrices and of X1 - X2; an instance is *admitted* when all five
     clear the threshold: ``ADMISSION_RCOND`` for the solver, the
     experiment's ``ACTIVATION_RCOND_FLOOR`` for its real draws.
+    ``factors`` holds the :class:`~expnet.linalg.LuFactors` behind those
+    estimates, under the same keys, so that :func:`solve_three_layer`
+    and :func:`verify` invert Y1 and X1 - X2 without factoring them
+    again. It is derived data: it takes no part in repr or equality.
     """
 
     x1: CMatrix
@@ -101,6 +105,7 @@ class ProblemInstance:
     y1: CMatrix
     y2: CMatrix
     rconds: dict = field(repr=False)
+    factors: dict = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -111,14 +116,15 @@ class ProblemInstance:
 
 
 def make_instance(x1, x2, y1, y2) -> ProblemInstance:
-    """Validate four matrices into a ProblemInstance, computing rconds."""
+    """Validate four matrices into a ProblemInstance, factoring each once."""
     x1, x2, y1, y2 = cmatrix(x1), cmatrix(x2), cmatrix(y1), cmatrix(y2)
     dims = {m.shape[0] for m in (x1, x2, y1, y2)}
     if len(dims) != 1:
         raise DimensionError(f"instance matrices disagree on dimension: {sorted(dims)}")
     matrices = (x1, x2, y1, y2, x1 - x2)
-    rconds = {key: lu_factor(m).rcond for key, m in zip(_RCOND_KEYS, matrices)}
-    return ProblemInstance(x1=x1, x2=x2, y1=y1, y2=y2, rconds=rconds)
+    factors = {key: lu_factor(m) for key, m in zip(_RCOND_KEYS, matrices)}
+    rconds = {key: f.rcond for key, f in factors.items()}
+    return ProblemInstance(x1=x1, x2=x2, y1=y1, y2=y2, rconds=rconds, factors=factors)
 
 
 def draw_instance(rng: np.random.Generator, dim: int, kind: str) -> ProblemInstance:
@@ -232,10 +238,10 @@ def solve_three_layer(
         raise InstanceRejectedError(
             f"instance rejected: rcond at or below {ADMISSION_RCOND:g} for {failing}"
         )
-    log_m = logm(inverse(inst.y1) @ np.asarray(inst.y2), branch)
+    log_m = logm(inverse(inst.y1, inst.factors["y1"]) @ np.asarray(inst.y2), branch)
     ln_alpha = math.log(alpha)
     z = log_m + ln_alpha * np.eye(inst.dim, dtype=np.complex128)
-    w1 = ln_alpha * inverse(inst.x1 - inst.x2)
+    w1 = ln_alpha * inverse(inst.x1 - inst.x2, inst.factors["x1_minus_x2"])
     w2 = log_m @ expm(-(w1 @ inst.x2)) / (1.0 - alpha)
     w3 = np.asarray(inst.y1) @ expm((alpha / (alpha - 1.0)) * log_m)
     for name, w in (("w1", w1), ("w2", w2), ("w3", w3)):
@@ -334,7 +340,8 @@ def verify(
             checks["difference_rcond"] = lu_factor(e2 - e1).rcond
             ez = expm(z)
             checks["z_definition"] = _ratio(
-                float(norm(ez - alpha * (inverse(inst.y1) @ inst.y2))), float(norm(ez))
+                float(norm(ez - alpha * (inverse(inst.y1, inst.factors["y1"]) @ inst.y2))),
+                float(norm(ez)),
             )
         # the failures of expm, lu_factor and inverse; checks not reached stay inf
         except (OverflowError, ValueError, NearSingularError):

@@ -18,8 +18,10 @@ def run_cli(*argv):
 
 
 def test_module_entry_point():
+    src = pathlib.Path(cli.__file__).parents[1]
     out = subprocess.run(
-        [sys.executable, "-m", "expnet", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "expnet", "--help"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert out.returncode == 0
     assert "usage" in out.stdout

@@ -175,6 +175,25 @@ class TestInverse:
         a = np.diag([1.0, 1e-7])
         assert_allclose(linalg.inverse(a) @ a, np.eye(2), atol=1e-8)
 
+    @pytest.mark.parametrize("kind", ["real-gaussian", "complex-gaussian"])
+    def test_given_factors_give_the_same_bytes(self, kind):
+        for dim in range(1, 17):
+            a = linalg.random_matrix(dim, seed=dim, kind=kind)
+            if kind == "real-gaussian":
+                a = a.real.copy()
+            inv = linalg.inverse(a, linalg.lu_factor(a))
+            ref = linalg.inverse(a)
+            assert inv.dtype == ref.dtype == a.dtype
+            assert inv.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("a", [np.diag([1.0, 1e-15]), np.zeros((3, 3)) + 0j])
+    def test_given_singular_factors_raise_with_the_same_rcond(self, a):
+        with pytest.raises(errors.NearSingularError) as fresh:
+            linalg.inverse(a)
+        with pytest.raises(errors.NearSingularError) as given:
+            linalg.inverse(a, linalg.lu_factor(a))
+        assert given.value.rcond == fresh.value.rcond == linalg.lu_factor(a).rcond
+
 
 # inputs with structure, extreme scales or repeated eigenvalues, on which
 # zgees must still return an exactly upper-triangular T

@@ -1,9 +1,11 @@
+import bisect
 import math
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -74,6 +76,21 @@ class TestExpm:
         a = random_complex(11, 5)
         assert_allclose(expm(a) @ expm(-a), np.eye(5), atol=1e-12)
 
+    def test_empty_matrix(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = expm(np.zeros((0, 0)))
+        assert out.shape == (0, 0)
+        assert out.dtype == np.complex128
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entry_is_a_value_error(self, bad):
+        # the norm guard sees it first; the refusal names the entry, not overflow
+        a = np.eye(3, dtype=complex)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            expm(a)
+
 
 def mpmath_logm(a, digits=40):
     """V log(D) V^-1 from mpmath's eigendecomposition at ``digits`` digits:
@@ -130,7 +147,87 @@ def bounded_matrices(draw):
     return np.array(draw(entries), dtype=np.complex128).reshape(dim, dim)
 
 
+def two_stage_logm_triu(t, sqrtm):
+    """The logarithm of an upper-triangular matrix with the square roots
+    counted in one loop: each pass tests the diagonal of X = T^(1/2^s) - I
+    first and forms alpha_2(X) only once the diagonal is inside theta_7.
+    Returns the result and the number of roots taken."""
+    eye = np.eye(t.shape[0], dtype=np.complex128)
+    t = np.asarray(t, dtype=np.complex128) + 0.0
+    theta = matfuncs.LOGM_PADE_THETA[-1]
+    work, roots = t, 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        while True:
+            x = work - eye
+            if np.abs(np.diagonal(x)).max() <= theta:
+                x2 = x @ x
+                alpha = max(
+                    np.linalg.norm(x2, 1) ** 0.5,
+                    np.linalg.norm(x2 @ x, 1) ** (1.0 / 3.0),
+                )
+                if alpha <= theta:
+                    break
+            if roots >= matfuncs.LOGM_MAX_SQRTS:
+                raise errors.ConvergenceError("no Pade region")
+            work = sqrtm(work)
+            roots += 1
+    m = bisect.bisect_left(matfuncs.LOGM_PADE_THETA, alpha) + 1
+    nodes, weights = matfuncs._pade_nodes(m)
+    trtrs = linalg._lapack(x.dtype).trtrs
+    out = np.zeros_like(x)
+    for node, weight in zip(nodes, weights):
+        out += weight * trtrs(eye + node * x, x)[0]
+    out *= 2.0**roots
+    np.fill_diagonal(out, np.log(np.diagonal(t)))
+    return out, roots
+
+
+def root_count_inputs():
+    """Upper-triangular inputs: random at d 1 to 32, Jordan blocks, and
+    pairs of eigenvalues astride the branch cut at -1."""
+    for dim in range(1, 33):
+        rng = np.random.default_rng([dim, 16])
+        for scale in (1e-3, 1.0, 1e3):
+            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            yield np.triu(scale * a)
+    for lam in (1e-4, 0.5, -2.0, 3j, 1e4 * (1 - 1j), -1.0):
+        for size in (2, 3, 5, 8):
+            yield lam * np.eye(size) + np.eye(size, k=1)
+    for gap in (1e-1, 1e-4, 1e-8):
+        for coupling in (1e-3, 1.0):
+            yield np.array(
+                [[complex(-1.0, gap / 2), coupling], [0.0, complex(-1.0, -gap / 2)]]
+            )
+
+
 class TestLogm:
+    def test_diagonal_root_count_matches_the_two_stage_loop(self, monkeypatch):
+        # counting scalar roots of the diagonal first takes the same
+        # matrix roots as testing the diagonal before alpha_2 on each pass
+        real_sqrtm = matfuncs._sqrtm_triu
+        calls = []
+
+        def counting_sqrtm(t):
+            calls.append(1)
+            return real_sqrtm(t)
+
+        monkeypatch.setattr(matfuncs, "_sqrtm_triu", counting_sqrtm)
+        compared = 0
+        for t in root_count_inputs():
+            calls.clear()
+            try:
+                ref, roots = two_stage_logm_triu(t, real_sqrtm)
+            except errors.ExpnetError as err:
+                with pytest.raises(type(err)):
+                    matfuncs._logm_triu(t)
+                continue
+            out = matfuncs._logm_triu(t)
+            assert len(calls) == roots
+            assert out.tobytes() == ref.tobytes()
+            compared += 1
+        assert compared > 100
+
     def test_square_root_count(self, monkeypatch):
         # Al-Mohy & Higham's alpha_2(X) <= theta_7 stop, counted on the
         # solver's own logm inputs

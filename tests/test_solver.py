@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from expnet import errors, linalg, solver
+from expnet import errors, linalg, matfuncs, solver
 
 from conftest import oracle_expm
 
@@ -23,6 +24,17 @@ class TestInstances:
         assert set(inst.rconds) == {"x1", "x2", "y1", "y2", "x1_minus_x2"}
         assert inst.admitted()
         assert inst.dim == 2
+
+    def test_instance_keeps_the_factors_behind_its_rconds(self):
+        inst = admitted_instance(4, seed=3)
+        assert inst.factors.keys() == inst.rconds.keys()
+        for key, matrix in (("y1", inst.y1), ("x1_minus_x2", inst.x1 - inst.x2)):
+            fresh = linalg.lu_factor(matrix)
+            assert inst.factors[key].lu.tobytes() == fresh.lu.tobytes()
+            assert inst.factors[key].rcond == inst.rconds[key] == fresh.rcond
+        # derived data: left out of repr and equality
+        assert "factors" not in repr(inst)
+        assert inst == dataclasses.replace(inst, factors={})
 
     def test_dimension_mismatch(self):
         with pytest.raises(errors.DimensionError):
@@ -129,6 +141,30 @@ class TestSolveThreeLayer:
                 assert value > 0.0
             else:
                 assert value <= 1e-7, (name, value)
+
+    def test_each_instance_matrix_is_factored_once(self, monkeypatch):
+        # make_instance factors the five instance matrices; solve and
+        # verify reuse Y1's and X1 - X2's factors for their three inverses,
+        # so only logm's input and verify's difference_rcond add a factoring
+        calls = {"lu_factor": 0, "inverse": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        lu_factor = counted("lu_factor", linalg.lu_factor)
+        for module in (linalg, solver, matfuncs):
+            monkeypatch.setattr(module, "lu_factor", lu_factor)
+        monkeypatch.setattr(solver, "inverse", counted("inverse", linalg.inverse))
+        q = [linalg.random_matrix(4, seed) for seed in (1, 2, 3, 4)]
+        inst = solver.make_instance(*q)
+        assert calls == {"lu_factor": 5, "inverse": 0}
+        rep = solver.verify(solver.solve_three_layer(inst), inst)
+        assert rep.passed
+        assert calls == {"lu_factor": 7, "inverse": 3}
 
     def test_rejected_instance(self):
         inst = solver.make_instance(np.eye(3), np.eye(3), np.eye(3), 2 * np.eye(3))
