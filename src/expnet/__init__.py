@@ -31,7 +31,6 @@ from .experiment import (
     baseline_denominator,
     run_experiment,
     two_layer_gradient,
-    two_layer_gradient_fd,
     two_layer_objective,
     write_trace_csv,
 )
@@ -46,15 +45,12 @@ from .linalg import (
     lu_solve,
     matrix_from_json,
     matrix_to_json,
-    random_matrix,
     save_matrix,
     schur_decompose,
 )
 from .matfuncs import (
     PRINCIPAL,
-    check_commuting_product,
     expm,
-    jordan_block_log,
     logm,
 )
 from .solver import (

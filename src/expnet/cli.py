@@ -36,12 +36,16 @@ from .errors import (
     MaxResampleError,
     NearSingularError,
 )
-from .linalg import load_matrix, save_json, save_matrix
+from .linalg import GAUSSIAN_KINDS, load_matrix, save_json, save_matrix
 from .matfuncs import PRINCIPAL, expm, logm
 
 
 def parse_seeds(text: str) -> tuple:
-    """Parse a seed list: "7", "1,2,5", "1..10", or mixes like "1..3,9"."""
+    """Parse a seed list: "7", "1,2,5", "1..10", or mixes like "1..3,9".
+
+    Only the syntax is checked here; :class:`~expnet.experiment.ExperimentConfig`
+    refuses a negative seed.
+    """
     seeds = []
     for token in str(text).split(","):
         token = token.strip()
@@ -55,8 +59,6 @@ def parse_seeds(text: str) -> tuple:
             seeds.extend(range(lo, hi + 1))
         else:
             seeds.append(int(token))
-    if any(s < 0 for s in seeds):
-        raise ValueError(f"seeds must be nonnegative, got {seeds}")
     return tuple(seeds)
 
 
@@ -194,9 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True, help="PCG64 stream seed")
     p.add_argument(
         "--kind",
-        choices=("complex-gaussian", "real-gaussian"),
+        choices=GAUSSIAN_KINDS,
         default="complex-gaussian",
-        help="entry distribution (default complex-gaussian)",
+        help="entry distribution (default %(default)s)",
     )
     p.add_argument("--out", help="output directory (default instance-d<dim>-s<seed>)")
     p.set_defaults(func=cmd_gen)
@@ -262,15 +264,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "experiment", help="gradient-descent study of entry-wise activations"
     )
+    # LEARNING_RATE_SCALE printed as 1e-3, not str()'s 0.001
+    lr_scale = np.format_float_scientific(xp.LEARNING_RATE_SCALE, trim="-", exp_digits=1)
     p.add_argument("--dim", type=int, required=True, help="matrix dimension d")
     p.add_argument(
         "--activation",
         choices=sorted(xp.ACTIVATIONS),
-        default="sigmoid",
-        help="entry-wise activation (default sigmoid)",
+        default=xp.ExperimentConfig.activation,
+        help="entry-wise activation (default %(default)s)",
     )
     p.add_argument(
-        "--steps", type=int, default=2000, help="descent steps (default %(default)s)"
+        "--steps",
+        type=int,
+        default=xp.ExperimentConfig.steps,
+        help="descent steps (default %(default)s)",
     )
     p.add_argument(
         "--seeds",
@@ -281,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lr",
         type=float,
         default=None,
-        help="learning rate on the normalized score (default 1e-3 * dim)",
+        help=f"learning rate on the normalized score (default {lr_scale} * dim)",
     )
     p.add_argument("--out", help="trace CSV path (default trace-<activation>-d<dim>.csv)")
     p.set_defaults(func=cmd_experiment)

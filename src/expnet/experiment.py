@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 import statistics
 from dataclasses import dataclass, field
@@ -51,9 +52,6 @@ ACTIVATION_RCOND_FLOOR = 1e-6
 
 #: Per-unit-dimension default learning rate (lr = LEARNING_RATE_SCALE * dim).
 LEARNING_RATE_SCALE = 1e-3
-
-#: Central-difference step of :func:`two_layer_gradient_fd`.
-FD_STEP = 1e-6
 
 #: A run is flagged divergent when final s exceeds this multiple of initial s.
 DIVERGENCE_FACTOR = 10.0
@@ -202,25 +200,15 @@ def two_layer_gradient(w, inst: ProblemInstance, activation="sigmoid") -> np.nda
     return _gradient_from_forward(state, quad, activation)
 
 
-def two_layer_gradient_fd(w, inst: ProblemInstance, activation="sigmoid") -> np.ndarray:
-    """Central finite-difference gradient of N (2 d^2 forward passes).
-
-    An oracle for :func:`two_layer_gradient`; the descent never calls it.
-    """
-    activation = get_activation(activation)
-    quad = _real_quad(inst)
-    w = np.array(_as_real(w, "w"))
-    grad = np.zeros_like(w)
-    for i in range(w.shape[0]):
-        for j in range(w.shape[1]):
-            saved = w[i, j]
-            w[i, j] = saved + FD_STEP
-            plus = _forward(w, quad, activation)[0]
-            w[i, j] = saved - FD_STEP
-            minus = _forward(w, quad, activation)[0]
-            w[i, j] = saved
-            grad[i, j] = (plus - minus) / (2.0 * FD_STEP)
-    return grad
+def _seed_value(seed) -> int:
+    """``seed`` as an int; ValueError naming it unless it is a nonnegative
+    integer (an integral float counts, a bool does not)."""
+    integral = isinstance(seed, numbers.Integral) or (
+        isinstance(seed, float) and seed.is_integer()
+    )
+    if isinstance(seed, bool) or not integral or seed < 0:
+        raise ValueError(f"seeds must be nonnegative integers, got {seed!r}")
+    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -228,7 +216,8 @@ class ExperimentConfig:
     """Settings for one descent experiment (all seeds share them).
 
     Instance admission and the sigma(W X2) guard both use the module's
-    ``ACTIVATION_RCOND_FLOOR``.
+    ``ACTIVATION_RCOND_FLOOR``. Each seed must be a nonnegative integer:
+    a negative, bool or non-integral seed raises ValueError naming it.
     """
 
     dim: int
@@ -247,7 +236,7 @@ class ExperimentConfig:
         if self.learning_rate is not None:
             require_positive(self.learning_rate, "learning_rate")
         get_activation(self.activation)
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(_seed_value(s) for s in self.seeds))
 
     @property
     def effective_learning_rate(self) -> float:

@@ -42,7 +42,8 @@ CMatrix = np.ndarray
 #: NearSingularError there.
 SINGULAR_RCOND = 1e-10
 
-_GAUSSIAN_KINDS = ("complex-gaussian", "real-gaussian")
+#: The entry distributions :func:`gaussian_entries` draws from.
+GAUSSIAN_KINDS = ("complex-gaussian", "real-gaussian")
 
 
 def cmatrix(entries) -> CMatrix:
@@ -281,24 +282,7 @@ def gaussian_entries(rng: np.random.Generator, dim: int, kind: str) -> np.ndarra
         return z[..., 0] + 1j * z[..., 1]
     if kind == "real-gaussian":
         return rng.standard_normal((dim, dim)) + 0j
-    raise ValueError(f"unknown kind {kind!r}, expected one of {_GAUSSIAN_KINDS}")
-
-
-def random_matrix(dim: int, seed: int, kind: str = "complex-gaussian") -> CMatrix:
-    """Reproducible i.i.d. Gaussian matrix.
-
-    Entries are N(0,1) real + i*N(0,1) imaginary for ``complex-gaussian``
-    and N(0,1) with exactly zero imaginary part for ``real-gaussian``.
-    The stream is PCG64 seeded with ``seed`` and the normal draw is
-    numpy's ziggurat ``standard_normal``, so output is bit-exact for a
-    fixed (dim, seed, kind).
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    out = gaussian_entries(rng, dim, kind)
-    out.flags.writeable = False
-    return out
+    raise ValueError(f"unknown kind {kind!r}, expected one of {GAUSSIAN_KINDS}")
 
 
 # -- matrix JSON format (shared repo-wide) ----------------------------------

@@ -10,9 +10,6 @@ is small enough for an [m/m] Pade approximant of degree m <= 7, that
 approximant in its Gauss-Legendre partial-fraction form, then a factor
 2^s. Logarithm branches are selected per eigenvalue as
 log lam = ln|lam| + i*(arg lam + 2*pi*k) with principal arg in (-pi, pi].
-
-``jordan_block_log`` is the exact finite-series logarithm of a single
-Jordan block; it exists as an independent oracle for ``logm``.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ import scipy.linalg
 
 from .errors import (
     ConvergenceError,
-    DimensionError,
     IllConditionedError,
     NearSingularError,
 )
@@ -329,43 +325,3 @@ def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
         )
     return form.q @ log_t @ form.q.conj().T
 
-
-def jordan_block_log(lam: complex, m: int) -> CMatrix:
-    """Exact logarithm of the m x m Jordan block with eigenvalue lam.
-
-    The block factors as lam * (I + K) with K the upper shift divided by
-    lam, so log = (ln lam) I + K - K^2/2 + ... with exactly m - 1 series
-    terms (K^m = 0). Superdiagonal j carries (-1)^(j+1) lam^(-j) / j.
-    Principal scalar branch. Serves as an exact oracle for :func:`logm`
-    on single Jordan blocks.
-    """
-    if m < 1:
-        raise ValueError(f"block size must be >= 1, got {m}")
-    lam = complex(lam)
-    if lam == 0:
-        raise NearSingularError(
-            "Jordan block with zero eigenvalue has no logarithm", rcond=0.0
-        )
-    out = np.zeros((m, m), dtype=np.complex128)
-    np.fill_diagonal(out, _principal_log(lam))
-    for j in range(1, m):
-        value = (-1.0) ** (j + 1) * lam ** (-j) / j
-        idx = np.arange(m - j)
-        out[idx, idx + j] = value
-    return out
-
-
-def check_commuting_product(a: CMatrix, b: CMatrix) -> float:
-    """Relative defect of exp(a) exp(b) = exp(a + b).
-
-    Returns ``||expm(a) @ expm(b) - expm(a + b)||_F / ||expm(a + b)||_F``.
-    At most ~1e-9 for commuting pairs of moderate norm; order one (the
-    size of the Baker-Campbell-Hausdorff correction) otherwise.
-    """
-    _check_square(a, "a")
-    _check_square(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    combined = expm(np.asarray(a) + np.asarray(b))
-    separate = expm(a) @ expm(b)
-    return float(np.linalg.norm(separate - combined) / np.linalg.norm(combined))

@@ -389,8 +389,12 @@ def weights_from_json(obj: dict) -> ThreeLayerWeights:
     alpha = obj["alpha"]
     if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
         raise MatrixFormatError(f"weights JSON 'alpha' must be a number, got {alpha!r}")
+    try:
+        alpha = float(alpha)
+    except OverflowError:  # an integer literal past float range
+        alpha = math.inf if alpha > 0 else -math.inf
     w1, w2, w3, z = (matrix_from_json(obj[name]) for name in _WEIGHT_FIELDS[1:])
-    return ThreeLayerWeights(w1=w1, w2=w2, w3=w3, alpha=float(alpha), z=z)
+    return ThreeLayerWeights(w1=w1, w2=w2, w3=w3, alpha=alpha, z=z)
 
 
 def report_to_json(report: SolveReport) -> dict:

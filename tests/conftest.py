@@ -1,14 +1,18 @@
-"""Shared independent oracles.
+"""Shared independent oracles and test helpers.
 
 Every reference here is deliberately implemented by a route different
 from the package's own kernels: unscaled Taylor sums, characteristic
-polynomials via trace recursion. Slow is fine; agreeing with the
-implementation by construction is not.
+polynomials via trace recursion, the finite Jordan-block log series,
+central differences. Slow is fine; agreeing with the implementation by
+construction is not. The library ships none of them.
 """
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
+
+from expnet import expm, linalg
+from expnet.errors import NearSingularError
 
 
 def taylor_expm(a, terms=30):
@@ -70,6 +74,64 @@ def random_complex(seed, dim, scale=1.0):
     return scale * (
         rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     )
+
+
+def random_matrix(dim, seed, kind="complex-gaussian"):
+    """The package's Gaussian sampler on a fresh PCG64 stream seeded with ``seed``."""
+    return linalg.gaussian_entries(np.random.default_rng(seed), dim, kind)
+
+
+def jordan_block_log(lam, m):
+    """Exact logarithm of the m x m Jordan block with eigenvalue lam.
+
+    The block factors as lam * (I + K) with K the upper shift divided by
+    lam, so log = (ln lam) I + K - K^2/2 + ... with exactly m - 1 series
+    terms (K^m = 0). Superdiagonal j carries (-1)^(j+1) lam^(-j) / j.
+    Principal scalar branch, arg in (-pi, pi].
+    """
+    if m < 1:
+        raise ValueError(f"block size must be >= 1, got {m}")
+    lam = complex(lam)
+    if lam == 0:
+        raise NearSingularError(
+            "Jordan block with zero eigenvalue has no logarithm", rcond=0.0
+        )
+    out = np.zeros((m, m), dtype=np.complex128)
+    # + 0.0 folds a -0.0 imaginary part onto +0.0, so log(-1) = +i pi
+    np.fill_diagonal(out, np.log(np.complex128(lam) + 0.0))
+    for j in range(1, m):
+        np.fill_diagonal(out[:, j:], (-1.0) ** (j + 1) * lam ** (-j) / j)
+    return out
+
+
+def check_commuting_product(a, b):
+    """Relative defect ``||expm(a) expm(b) - expm(a + b)||_F / ||expm(a + b)||_F``.
+
+    At most ~1e-9 for commuting pairs of moderate norm; order one (the
+    size of the Baker-Campbell-Hausdorff correction) otherwise.
+    """
+    combined = expm(a + b)
+    separate = expm(a) @ expm(b)
+    return float(np.linalg.norm(separate - combined) / np.linalg.norm(combined))
+
+
+def central_difference(f, w, h=1e-6):
+    """Central finite-difference gradient of the scalar function f at w.
+
+    Makes 2 * w.size calls of f on one working copy of w, each with one
+    entry moved by +-h, so f must not keep its argument.
+    """
+    w = np.array(w, dtype=np.float64)
+    grad = np.zeros_like(w)
+    for index in np.ndindex(w.shape):
+        saved = w[index]
+        w[index] = saved + h
+        plus = f(w)
+        w[index] = saved - h
+        minus = f(w)
+        w[index] = saved
+        grad[index] = (plus - minus) / (2.0 * h)
+    return grad
 
 
 @pytest.fixture

@@ -16,9 +16,15 @@ import numpy as np
 import pytest
 
 import expnet as en
-from expnet.matfuncs import jordan_block_log
 
-from conftest import random_complex, taylor_expm
+from conftest import (
+    central_difference,
+    check_commuting_product,
+    jordan_block_log,
+    random_complex,
+    random_matrix,
+    taylor_expm,
+)
 
 DIMS = (2, 4, 8, 16)
 PER_DIM = 100
@@ -126,7 +132,7 @@ def test_criterion_4_matrix_function_kernels():
     worst_round = 0.0
     for seed in range(60):
         dim = seed % 7 + 2
-        a = en.random_matrix(dim, seed=5_000 + seed)
+        a = random_matrix(dim, seed=5_000 + seed)
         if en.lu_factor(a).rcond <= 1e-3:
             continue
         worst_round = max(
@@ -160,7 +166,7 @@ def test_criterion_4_matrix_function_kernels():
         a = random_complex(seed + 300, dim)
         a = a / np.linalg.norm(a)
         b = 0.6 * a @ a - 1.1 * a + 0.3 * np.eye(dim)
-        worst_commute = max(worst_commute, en.check_commuting_product(a, b))
+        worst_commute = max(worst_commute, check_commuting_product(a, b))
         det = complex(np.linalg.det(en.expm(a)))
         tr = complex(np.exp(np.trace(a)))
         worst_det = max(worst_det, abs(det - tr) / abs(tr))
@@ -241,7 +247,6 @@ def test_criterion_6_elementwise_experiment():
 
 
 def test_criterion_7_gradient_correctness():
-    h = 1e-6
     rng = np.random.default_rng(77)
     worst = 0.0
     checked = 0
@@ -255,17 +260,9 @@ def test_criterion_7_gradient_correctness():
             g = en.two_layer_gradient(w, inst, "sigmoid")
         except en.NearSingularError:
             continue
-        ref = np.zeros_like(w)
-        for i in range(dim):
-            for j in range(dim):
-                wp = w.copy()
-                wp[i, j] += h
-                wm = w.copy()
-                wm[i, j] -= h
-                ref[i, j] = (
-                    en.two_layer_objective(wp, inst, "sigmoid")
-                    - en.two_layer_objective(wm, inst, "sigmoid")
-                ) / (2 * h)
+        ref = central_difference(
+            lambda v: en.two_layer_objective(v, inst, "sigmoid"), w
+        )
         worst = max(
             worst,
             float(np.linalg.norm(g - ref) / max(np.linalg.norm(ref), 1.0)),

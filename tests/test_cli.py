@@ -12,6 +12,8 @@ import pytest
 from expnet import cli, errors, linalg, solver
 from expnet.matfuncs import PRINCIPAL
 
+from conftest import random_matrix
+
 
 def run_cli(*argv):
     return cli.run(list(argv))
@@ -64,8 +66,6 @@ class TestSeedParsing:
             cli.parse_seeds("5..2")
         with pytest.raises(ValueError):
             cli.parse_seeds("a")
-        with pytest.raises(ValueError):
-            cli.parse_seeds("-3")
         with pytest.raises(ValueError):
             cli.parse_seeds("1,,2")
 
@@ -141,9 +141,9 @@ class TestSolveVerifyEval:
         assert "tol" in capsys.readouterr().err
 
     def test_identical_data_points_exit_3(self, workdir):
-        x = linalg.random_matrix(3, seed=1)
+        x = random_matrix(3, seed=1)
         inst = solver.make_instance(
-            x, x, linalg.random_matrix(3, seed=2), linalg.random_matrix(3, seed=3)
+            x, x, random_matrix(3, seed=2), random_matrix(3, seed=3)
         )
         solver.save_instance(workdir / "bad", inst)
         assert run_cli("solve", "--instance", "bad") == 3
@@ -158,6 +158,15 @@ class TestSolveVerifyEval:
         assert run_cli("solve", "--instance", "inst") == 0
         weights = json.loads((workdir / "inst/weights.json").read_text())
         (workdir / "w.json").write_text(json.dumps({**weights, "alpha": math.inf}))
+        assert run_cli("verify", "--instance", "inst", "--weights", "w.json") == 2
+        assert "alpha must be positive and finite" in capsys.readouterr().err
+
+    def test_huge_integer_alpha_weights_exit_2(self, workdir, capsys):
+        # a 401-digit integer literal is past float range, like 1e400
+        run_cli("gen", "--dim", "2", "--seed", "3", "--out", "inst")
+        assert run_cli("solve", "--instance", "inst") == 0
+        weights = json.loads((workdir / "inst/weights.json").read_text())
+        (workdir / "w.json").write_text(json.dumps({**weights, "alpha": 10**400}))
         assert run_cli("verify", "--instance", "inst", "--weights", "w.json") == 2
         assert "alpha must be positive and finite" in capsys.readouterr().err
 
@@ -230,7 +239,7 @@ class TestMatrixFunctions:
         np.testing.assert_array_equal(out, np.eye(3))
 
     def test_logm_prints_roundtrip(self, workdir, capsys):
-        a = linalg.random_matrix(4, seed=9)
+        a = random_matrix(4, seed=9)
         linalg.save_matrix(workdir / "a.json", a)
         assert run_cli("logm", "--in", "a.json") == 0
         out = capsys.readouterr().out
@@ -239,7 +248,7 @@ class TestMatrixFunctions:
         assert float(line[0].split(":")[1]) <= 1e-8
 
     def test_logm_expm_pipeline(self, workdir):
-        a = linalg.random_matrix(3, seed=14)
+        a = random_matrix(3, seed=14)
         linalg.save_matrix(workdir / "a.json", a)
         run_cli("logm", "--in", "a.json", "--out", "la.json")
         run_cli("expm", "--in", "la.json", "--out", "back.json")
@@ -313,7 +322,7 @@ class TestMatrixFunctions:
         assert "error [MatrixFormatError]" in capsys.readouterr().err
 
     def test_branch_offset_flag(self, workdir):
-        a = linalg.random_matrix(2, seed=5)
+        a = random_matrix(2, seed=5)
         linalg.save_matrix(workdir / "a.json", a)
         run_cli("logm", "--in", "a.json", "--out", "l0.json")
         run_cli("logm", "--in", "a.json", "--out", "l1.json", "--branch-offset", "1")
@@ -356,6 +365,15 @@ class TestExperimentCommand:
 
     def test_bad_seeds_exit_2(self, workdir):
         assert run_cli("experiment", "--dim", "3", "--seeds", "9..1") == 2
+
+    @pytest.mark.parametrize(
+        "seeds", [("--seeds", "-3"), ("--seeds", "1,-1"), ("--seeds=-2..1",)]
+    )
+    def test_negative_seed_exit_2(self, workdir, capsys, seeds):
+        # the experiment config refuses it before any seed runs
+        assert run_cli("experiment", "--dim", "3", *seeds) == 2
+        assert "seeds must be nonnegative integers" in capsys.readouterr().err
+        assert not list(workdir.iterdir())
 
     def test_usage_error_unknown_flag(self, capsys):
         assert run_cli("gen", "--dimension", "4") == 2

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -10,6 +11,8 @@ import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 from expnet import errors, experiment as xp, linalg, solver
+
+from conftest import central_difference
 
 
 def real_instance(dim, seed):
@@ -113,20 +116,10 @@ class TestScore:
 
 
 class TestGradient:
-    def finite_difference(self, w, inst, activation, h=1e-6):
-        # test-local central differences, independent of the package's
-        g = np.zeros_like(w)
-        for i in range(w.shape[0]):
-            for j in range(w.shape[1]):
-                wp = w.copy()
-                wp[i, j] += h
-                wm = w.copy()
-                wm[i, j] -= h
-                g[i, j] = (
-                    xp.two_layer_objective(wp, inst, activation)
-                    - xp.two_layer_objective(wm, inst, activation)
-                ) / (2 * h)
-        return g
+    def finite_difference(self, w, inst, activation):
+        return central_difference(
+            lambda v: xp.two_layer_objective(v, inst, activation), w
+        )
 
     @pytest.mark.parametrize("activation", ["sigmoid", "relu"])
     def test_matches_finite_differences(self, activation):
@@ -180,17 +173,7 @@ class TestGradient:
         w = np.random.default_rng(5).normal(0, 0.5, (3, 3))
         denom = xp.baseline_denominator(inst)
         g_obj = xp.two_layer_gradient(w, inst, "sigmoid")
-        h = 1e-6
-        g_s = np.zeros_like(w)
-        for i in range(3):
-            for j in range(3):
-                wp, wm = w.copy(), w.copy()
-                wp[i, j] += h
-                wm[i, j] -= h
-                g_s[i, j] = (
-                    s_score(wp, inst, "sigmoid")
-                    - s_score(wm, inst, "sigmoid")
-                ) / (2 * h)
+        g_s = central_difference(lambda v: s_score(v, inst, "sigmoid"), w)
         ref = g_obj / denom
         assert np.linalg.norm(g_s - ref) <= 1e-5 * max(np.linalg.norm(ref), 1.0)
 
@@ -198,7 +181,9 @@ class TestGradient:
         inst = real_instance(3, seed=6)
         w = np.random.default_rng(3).normal(0, 0.5, (3, 3))
         g = xp.two_layer_gradient(w, inst, "sigmoid")
-        gfd = xp.two_layer_gradient_fd(w, inst, "sigmoid")
+        gfd = central_difference(
+            lambda v: xp.two_layer_objective(v, inst, "sigmoid"), w
+        )
         assert_allclose(g, gfd, rtol=0, atol=1e-5 * max(1.0, np.abs(gfd).max()))
 
 
@@ -218,6 +203,16 @@ class TestConfig:
             xp.ExperimentConfig(dim=4, seeds=())
         with pytest.raises(ValueError):
             xp.ExperimentConfig(dim=4, activation="tanh")
+
+    @pytest.mark.parametrize("seed", [-3, -1.0, True, 1.9, math.nan, math.inf, "1"])
+    def test_seeds_must_be_nonnegative_integers(self, seed):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(seed))}$"):
+            xp.ExperimentConfig(dim=2, steps=3, seeds=(1, seed))
+
+    def test_integral_seeds_become_ints(self):
+        cfg = xp.ExperimentConfig(dim=2, seeds=(2.0, np.int64(3), 0))
+        assert cfg.seeds == (2, 3, 0)
+        assert all(type(seed) is int for seed in cfg.seeds)
 
     @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -1e-3])
     def test_learning_rate_must_be_positive_and_finite(self, lr):
@@ -421,7 +416,9 @@ class TestRunExperiment:
         step = cfg.effective_learning_rate / denom
         reference = [s_score(w, inst, "sigmoid")]
         for _ in range(steps):
-            w = w - step * xp.two_layer_gradient_fd(w, inst, "sigmoid")
+            w = w - step * central_difference(
+                lambda v: xp.two_layer_objective(v, inst, "sigmoid"), w
+            )
             reference.append(s_score(w, inst, "sigmoid"))
         assert_allclose(run.s_values, reference, rtol=1e-5, atol=1e-8)
 

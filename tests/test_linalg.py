@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from expnet import errors, linalg
 
-from conftest import eigenvalues_reference, matched_distance
+from conftest import eigenvalues_reference, matched_distance, random_matrix
 
 
 class TestCMatrix:
@@ -49,21 +49,21 @@ class TestLu:
 
     def test_rcond_range(self):
         for seed in range(10):
-            a = linalg.random_matrix(5, seed=seed)
+            a = random_matrix(5, seed=seed)
             f = linalg.lu_factor(a)
             assert 0.0 < f.rcond <= 1.0
 
     def test_solve_multiply_back(self):
         for seed in range(5):
-            a = linalg.random_matrix(6, seed=seed)
+            a = random_matrix(6, seed=seed)
             rng = np.random.default_rng(seed + 50)
             b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
             x = linalg.lu_solve(linalg.lu_factor(a), b)
             assert_allclose(a @ x, b, rtol=0, atol=1e-10)
 
     def test_solve_transposed(self):
-        a = linalg.random_matrix(5, seed=9)
-        b = linalg.random_matrix(5, seed=10)
+        a = random_matrix(5, seed=9)
+        b = random_matrix(5, seed=10)
         x = linalg.lu_solve(linalg.lu_factor(a), b, trans=1)
         assert_allclose(a.T @ x, b, rtol=0, atol=1e-10)
 
@@ -74,7 +74,7 @@ class TestLu:
             return np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
         for seed in range(5):
-            a = linalg.random_matrix(6, seed=seed, kind="real-gaussian").real
+            a = random_matrix(6, seed=seed, kind="real-gaussian").real
             b = np.random.default_rng(seed + 50).standard_normal((6, 6))
             real = linalg.lu_factor(a)
             cplx = linalg.lu_factor(a + 0j)
@@ -94,7 +94,7 @@ class TestLu:
         # a complex right-hand side promotes real factors: the solution is
         # complex128 and equals the complex route, with no ComplexWarning
         for seed in range(5):
-            a = linalg.random_matrix(6, seed=seed, kind="real-gaussian").real
+            a = random_matrix(6, seed=seed, kind="real-gaussian").real
             rng = np.random.default_rng(seed + 70)
             b = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
             real, cplx = linalg.lu_factor(a), linalg.lu_factor(a + 0j)
@@ -157,7 +157,7 @@ class TestInverse:
     def test_multiply_back(self):
         for seed in range(10):
             for dim in (2, 5, 11):
-                a = linalg.random_matrix(dim, seed=seed)
+                a = random_matrix(dim, seed=seed)
                 f = linalg.lu_factor(a)
                 if f.rcond <= 1e-6:
                     continue
@@ -178,7 +178,7 @@ class TestInverse:
     @pytest.mark.parametrize("kind", ["real-gaussian", "complex-gaussian"])
     def test_given_factors_give_the_same_bytes(self, kind):
         for dim in range(1, 17):
-            a = linalg.random_matrix(dim, seed=dim, kind=kind)
+            a = random_matrix(dim, seed=dim, kind=kind)
             if kind == "real-gaussian":
                 a = a.real.copy()
             inv = linalg.inverse(a, linalg.lu_factor(a))
@@ -201,13 +201,13 @@ _SCHUR_SPECIAL = {
     "zero": np.zeros((5, 5)),
     "identity": np.eye(6),
     "diagonal": np.diag(np.arange(1.0, 9.0)),
-    "upper": np.triu(linalg.random_matrix(6, seed=61)),
-    "lower": np.tril(linalg.random_matrix(6, seed=62)),
+    "upper": np.triu(random_matrix(6, seed=61)),
+    "lower": np.tril(random_matrix(6, seed=62)),
     "jordan": (2.0 - 1.0j) * np.eye(7) + np.eye(7, k=1),
-    "large": 1e300 * linalg.random_matrix(4, seed=63),
-    "large-negative": -1e300 * linalg.random_matrix(4, seed=64),
-    "tiny": 1e-300 * linalg.random_matrix(4, seed=65),
-    "tiny-negative": -1e-300 * linalg.random_matrix(4, seed=66),
+    "large": 1e300 * random_matrix(4, seed=63),
+    "large-negative": -1e300 * random_matrix(4, seed=64),
+    "tiny": 1e-300 * random_matrix(4, seed=65),
+    "tiny-negative": -1e-300 * random_matrix(4, seed=66),
     "ones": np.ones((9, 9)),
 }
 
@@ -219,7 +219,7 @@ class TestSchur:
     )
     def test_reconstruction_and_structure(self, case):
         # an int case is the dimension of a random complex matrix
-        a = linalg.random_matrix(case, seed=case + 30) if isinstance(case, int) else case
+        a = random_matrix(case, seed=case + 30) if isinstance(case, int) else case
         dim = a.shape[0]
         form = linalg.schur_decompose(a)
         q, t = form.q, form.t
@@ -231,7 +231,7 @@ class TestSchur:
     def test_eigenvalues_match_characteristic_polynomial(self):
         # independent route: Faddeev-LeVerrier coefficients + polynomial roots
         for dim in (2, 3, 5):
-            a = linalg.random_matrix(dim, seed=dim)
+            a = random_matrix(dim, seed=dim)
             form = linalg.schur_decompose(a)
             ref = eigenvalues_reference(a)
             assert matched_distance(form.eigenvalues, ref) < 1e-8
@@ -266,20 +266,24 @@ class TestSchur:
 
 
 class TestSampling:
+    @staticmethod
+    def draw(seed, dim, kind="complex-gaussian"):
+        return linalg.gaussian_entries(np.random.default_rng(seed), dim, kind)
+
     def test_deterministic(self):
-        a = linalg.random_matrix(6, seed=123)
-        b = linalg.random_matrix(6, seed=123)
+        a = self.draw(123, 6)
+        b = self.draw(123, 6)
         assert_array_equal(a, b)
-        c = linalg.random_matrix(6, seed=124)
+        c = self.draw(124, 6)
         assert not np.array_equal(a, c)
 
     def test_real_kind_has_exact_zero_imag(self):
-        a = linalg.random_matrix(5, seed=3, kind="real-gaussian")
+        a = self.draw(3, 5, "real-gaussian")
         assert_array_equal(a.imag, np.zeros((5, 5)))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            linalg.random_matrix(3, seed=1, kind="uniform")
+            self.draw(1, 3, "uniform")
 
     def test_complex_moments(self):
         # entries ~ CN(0, 2): E|z|^2 = 2 split evenly across parts
@@ -292,7 +296,7 @@ class TestSampling:
 
 class TestMatrixJson:
     def test_roundtrip_exact(self, tmp_path):
-        a = linalg.random_matrix(4, seed=77)
+        a = random_matrix(4, seed=77)
         again = linalg.matrix_from_json(linalg.matrix_to_json(a))
         assert_array_equal(a, again)
         path = tmp_path / "m.json"
@@ -316,7 +320,7 @@ class TestMatrixJson:
     def test_file_bytes_are_compact_json(self, tmp_path):
         path = tmp_path / "m.json"
         for a in (
-            linalg.random_matrix(32, seed=6),
+            random_matrix(32, seed=6),
             np.array([  # signed zeros, subnormals, the ends of the float range
                 [complex(-0.0, 5e-324), complex(1e308, -1e308)],
                 [complex(-1e308, 0.0), complex(2.5e-310, -0.0)],
@@ -343,7 +347,7 @@ class TestMatrixJson:
         assert path.read_bytes() == reference.read_bytes()
 
     def test_save_deterministic(self, tmp_path):
-        a = linalg.random_matrix(3, seed=5)
+        a = random_matrix(3, seed=5)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         linalg.save_matrix(p1, a)
         linalg.save_matrix(p2, a)

@@ -10,9 +10,16 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from expnet import errors, linalg, matfuncs, solver
-from expnet.matfuncs import PRINCIPAL, expm, jordan_block_log, logm
+from expnet.matfuncs import PRINCIPAL, expm, logm
 
-from conftest import oracle_expm, random_complex, taylor_expm
+from conftest import (
+    check_commuting_product,
+    jordan_block_log,
+    oracle_expm,
+    random_complex,
+    random_matrix,
+    taylor_expm,
+)
 
 
 class TestExpm:
@@ -298,7 +305,7 @@ class TestLogm:
     @pytest.mark.parametrize("dim", [1, 2, 3, 6, 10])
     def test_roundtrip_exp_of_log(self, dim):
         for seed in range(8):
-            a = linalg.random_matrix(dim, seed=1000 * dim + seed)
+            a = random_matrix(dim, seed=1000 * dim + seed)
             if linalg.lu_factor(a).rcond <= 1e-3:
                 continue
             back = expm(logm(a))
@@ -320,7 +327,7 @@ class TestLogm:
 
     def test_eigenvalue_args_in_principal_strip(self):
         for seed in range(6):
-            a = linalg.random_matrix(5, seed=seed + 60)
+            a = random_matrix(5, seed=seed + 60)
             if linalg.lu_factor(a).rcond <= 1e-3:
                 continue
             lg = logm(a)
@@ -329,7 +336,7 @@ class TestLogm:
             assert np.all(eigs.imag > -math.pi - 1e-12)
 
     def test_branch_offset_shifts_by_2pi(self):
-        a = linalg.random_matrix(4, seed=17)
+        a = random_matrix(4, seed=17)
         base = logm(a)
         assert_array_equal(logm(a, PRINCIPAL), base)
         shifted = logm(a, 1)
@@ -508,12 +515,12 @@ class TestCommutingProduct:
             a = random_complex(seed, 4)
             a = a / np.linalg.norm(a)
             b = 0.7 * a @ a - 1.3 * a + 0.2 * np.eye(4)
-            assert matfuncs.check_commuting_product(a, b) <= 1e-9
+            assert check_commuting_product(a, b) <= 1e-9
 
     def test_noncommuting_pair_fails(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         b = np.array([[0.0, 0.0], [1.0, 0.0]])
-        assert matfuncs.check_commuting_product(a, b) > 1e-3
+        assert check_commuting_product(a, b) > 1e-3
 
     def test_conditioning_estimate_matches_pair_loop(self):
         # the gap matrix must give the smallest pairwise gap bit for bit

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from expnet import errors, linalg, matfuncs, solver
 
-from conftest import oracle_expm
+from conftest import oracle_expm, random_matrix
 
 
 def admitted_instance(dim, seed):
@@ -159,7 +159,7 @@ class TestSolveThreeLayer:
         for module in (linalg, solver, matfuncs):
             monkeypatch.setattr(module, "lu_factor", lu_factor)
         monkeypatch.setattr(solver, "inverse", counted("inverse", linalg.inverse))
-        q = [linalg.random_matrix(4, seed) for seed in (1, 2, 3, 4)]
+        q = [random_matrix(4, seed) for seed in (1, 2, 3, 4)]
         inst = solver.make_instance(*q)
         assert calls == {"lu_factor": 5, "inverse": 0}
         rep = solver.verify(solver.solve_three_layer(inst), inst)
