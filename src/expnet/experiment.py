@@ -200,15 +200,16 @@ def two_layer_gradient(w, inst: ProblemInstance, activation="sigmoid") -> np.nda
     return _gradient_from_forward(state, quad, activation)
 
 
-def _seed_value(seed) -> int:
-    """``seed`` as an int; ValueError naming it unless it is a nonnegative
-    integer (an integral float counts, a bool does not)."""
-    integral = isinstance(seed, numbers.Integral) or (
-        isinstance(seed, float) and seed.is_integer()
+def _integer_value(value, rule: str, minimum: int) -> int:
+    """``value`` as an int; ValueError stating ``rule`` unless it is an
+    integer of at least ``minimum`` (an integral float counts, a bool does
+    not)."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
     )
-    if isinstance(seed, bool) or not integral or seed < 0:
-        raise ValueError(f"seeds must be nonnegative integers, got {seed!r}")
-    return int(seed)
+    if isinstance(value, bool) or not integral or value < minimum:
+        raise ValueError(f"{rule}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -216,8 +217,10 @@ class ExperimentConfig:
     """Settings for one descent experiment (all seeds share them).
 
     Instance admission and the sigma(W X2) guard both use the module's
-    ``ACTIVATION_RCOND_FLOOR``. Each seed must be a nonnegative integer:
-    a negative, bool or non-integral seed raises ValueError naming it.
+    ``ACTIVATION_RCOND_FLOOR``. ``dim`` must be an integer of at least 1,
+    ``steps`` and each seed nonnegative integers: an integral float
+    becomes an int, and a bool, a non-integral or a too-small value raises
+    ValueError naming the field.
     """
 
     dim: int
@@ -227,16 +230,19 @@ class ExperimentConfig:
     learning_rate: float | None = None  # None -> LEARNING_RATE_SCALE * dim
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        dim = _integer_value(self.dim, "dim must be an integer >= 1", 1)
+        steps = _integer_value(self.steps, "steps must be an integer >= 0", 0)
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         if self.learning_rate is not None:
             require_positive(self.learning_rate, "learning_rate")
         get_activation(self.activation)
-        object.__setattr__(self, "seeds", tuple(_seed_value(s) for s in self.seeds))
+        seeds = tuple(
+            _integer_value(s, "seeds must be nonnegative integers", 0) for s in self.seeds
+        )
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "seeds", seeds)
 
     @property
     def effective_learning_rate(self) -> float:

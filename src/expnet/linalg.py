@@ -89,6 +89,21 @@ def one_norm(a: np.ndarray) -> float:
     return np.abs(a).sum(axis=0).max(initial=0.0)
 
 
+def frobenius(a: np.ndarray) -> float:
+    """The Frobenius norm of a float or complex array, the same bits as
+    ``np.linalg.norm(a)``.
+
+    numpy's own route for that norm (flatten in memory order, then the
+    dot products of the real and imaginary parts, then the root) without
+    its dispatch on ``ord`` and ``axis``.
+    """
+    flat = np.asarray(a).ravel(order="K")
+    if np.iscomplexobj(flat):
+        re, im = flat.real, flat.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(flat.dot(flat))
+
+
 def require_positive(value: float, what: str) -> None:
     """Raise ValueError unless the scalar ``value`` is positive and finite."""
     if not (value > 0 and math.isfinite(value)):

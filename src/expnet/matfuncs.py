@@ -4,12 +4,19 @@
 2009) behind the package's error contract. ``logm`` works on the complex
 Schur form by inverse scaling and squaring (Al-Mohy & Higham, *Improved
 inverse scaling and squaring algorithms for the matrix logarithm*, SISC
-2012): principal square roots of the triangular factor T (scipy's blocked
-Schur square root, Deadman, Higham & Ralha 2013) until X = T^(1/2^s) - I
-is small enough for an [m/m] Pade approximant of degree m <= 7, that
-approximant in its Gauss-Legendre partial-fraction form, then a factor
-2^s. Logarithm branches are selected per eigenvalue as
+2012): principal square roots of the triangular factor T (scipy's
+recursive Schur square root, after Deadman, Higham & Ralha 2013) until
+X = T^(1/2^s) - I is small enough for an [m/m] Pade approximant of degree
+m <= 7, that approximant in its Gauss-Legendre partial-fraction form, then
+a factor 2^s. Logarithm branches are selected per eigenvalue as
 log lam = ln|lam| + i*(arg lam + 2*pi*k) with principal arg in (-pi, pi].
+
+Both kernels call scipy's compiled routines directly, without the Python
+wrappers of ``scipy.linalg.expm`` and ``scipy.linalg.sqrtm``: a dense
+exponential runs ``pick_pade_structure`` and ``pade_UV_calc`` and squares
+in Python, as scipy's generic branch does, and every square root runs
+``recursive_schur_sqrtm``. The tests pin both to the public functions
+bit for bit.
 """
 
 from __future__ import annotations
@@ -17,10 +24,11 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import warnings
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+from scipy.linalg._matfuncs_schur_sqrtm import recursive_schur_sqrtm
 
 from .errors import (
     ConvergenceError,
@@ -109,23 +117,48 @@ def expm(a: CMatrix) -> CMatrix:
         )
     # overflow during squaring is reported as an error below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        result = scipy.linalg.expm(a)
-    if not np.all(np.isfinite(result)):
+        if a.shape[0] >= 2 and a[1, 0] != 0 and a[0, 1] != 0:
+            result = _expm_dense(a)
+        else:
+            result = scipy.linalg.expm(a)
+    if not np.isfinite(result).all():
         raise OverflowError("entries overflowed during repeated squaring")
+    return result
+
+
+def _expm_dense(a: np.ndarray) -> np.ndarray:
+    """scipy's generic expm branch, for input that is neither diagonal nor
+    triangular (both corner entries a[1, 0] and a[0, 1] nonzero)."""
+    work = np.empty((5, *a.shape), dtype=np.complex128)
+    # pick_pade_structure scales work[0] by 2^-s in place
+    work[0] = a
+    m, s = pick_pade_structure(work)
+    if m < 0:  # pragma: no cover - failed allocation in the kernel
+        raise MemoryError(f"pick_pade_structure failed with code {m}")
+    info = pade_UV_calc(work, m)
+    if info != 0:  # pragma: no cover - failed allocation or LAPACK argument error
+        raise RuntimeError(f"pade_UV_calc failed with info={info}")
+    result = work[0]
+    for _ in range(s):
+        result = result @ result
     return result
 
 
 def _sqrtm_triu(t: np.ndarray) -> np.ndarray:
     """Principal square root of an upper-triangular matrix.
 
-    Refuses a result with a non-finite entry or a strictly-upper entry
-    above ``SQRT_ENTRY_LIMIT`` times its largest diagonal magnitude: two
-    coupled eigenvalues straddle the branch cut. The test is relative, so
-    scaling the input by s scales the root by sqrt(s) and leaves the
-    verdict unchanged. scipy reports an ill-conditioned root as a
-    ``LinAlgWarning``; the caller decides whether to hear it.
+    scipy's ``recursive_schur_sqrtm``, the kernel of
+    ``scipy.linalg.sqrtm``, called directly: it reports an ill-conditioned
+    root only through flags, which are not read here. Refuses a result
+    with a non-finite entry or a strictly-upper entry above
+    ``SQRT_ENTRY_LIMIT`` times its largest diagonal magnitude: two coupled
+    eigenvalues straddle the branch cut. The test is relative, so scaling
+    the input by s scales the root by sqrt(s) and leaves the verdict
+    unchanged.
     """
-    r = scipy.linalg.sqrtm(t)
+    r, _, _, info = recursive_schur_sqrtm(t)
+    if info < 0:  # pragma: no cover - illegal-argument path
+        raise ValueError(f"recursive_schur_sqrtm failed with info={info}")
     magnitude = np.abs(r)
     # the diagonal holds roots of finite numbers, so it never sets the
     # verdict; a NaN anywhere fails the comparison
@@ -226,20 +259,17 @@ def _logm_triu(t: np.ndarray) -> np.ndarray:
         diagonal = np.sqrt(diagonal)
         roots += 1
     work = t
-    with warnings.catch_warnings():
-        # a blown-up root is reported by _sqrtm_triu, not as a warning
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        for _ in range(roots):
-            work = _sqrtm_triu(work)
-        while True:
-            x = work - eye
-            x2 = x @ x
-            alpha = max(one_norm(x2) ** 0.5, one_norm(x2 @ x) ** (1.0 / 3.0))
-            if alpha <= theta:
-                break
-            _check_root_cap(roots)
-            work = _sqrtm_triu(work)
-            roots += 1
+    for _ in range(roots):
+        work = _sqrtm_triu(work)
+    while True:
+        x = work - eye
+        x2 = x @ x
+        alpha = max(one_norm(x2) ** 0.5, one_norm(x2 @ x) ** (1.0 / 3.0))
+        if alpha <= theta:
+            break
+        _check_root_cap(roots)
+        work = _sqrtm_triu(work)
+        roots += 1
     nodes, weights = _pade_nodes(bisect.bisect_left(LOGM_PADE_THETA, alpha) + 1)
     trtrs = _lapack(x.dtype).trtrs
     out = np.zeros_like(x)

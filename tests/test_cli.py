@@ -375,6 +375,14 @@ class TestExperimentCommand:
         assert "seeds must be nonnegative integers" in capsys.readouterr().err
         assert not list(workdir.iterdir())
 
+    @pytest.mark.parametrize(
+        "dim, steps", [("2.5", "5"), ("0", "5"), ("3", "1.5"), ("3", "-1")]
+    )
+    def test_bad_dim_or_steps_exit_2(self, workdir, dim, steps):
+        # argparse refuses a non-integer, the experiment config a bad sign
+        assert run_cli("experiment", "--dim", dim, "--steps", steps) == 2
+        assert not list(workdir.iterdir())
+
     def test_usage_error_unknown_flag(self, capsys):
         assert run_cli("gen", "--dimension", "4") == 2
 

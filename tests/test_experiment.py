@@ -209,6 +209,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"got {re.escape(repr(seed))}$"):
             xp.ExperimentConfig(dim=2, steps=3, seeds=(1, seed))
 
+    @pytest.mark.parametrize("dim", [0, -2, 2.5, True, math.nan, math.inf, "2"])
+    def test_dim_must_be_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match=f"^dim .*got {re.escape(repr(dim))}$"):
+            xp.ExperimentConfig(dim=dim, steps=3, seeds=(1,))
+
+    @pytest.mark.parametrize("steps", [-1, 1.5, True, False, math.nan, math.inf, "3"])
+    def test_steps_must_be_a_nonnegative_integer(self, steps):
+        with pytest.raises(ValueError, match=f"^steps .*got {re.escape(repr(steps))}$"):
+            xp.ExperimentConfig(dim=2, steps=steps, seeds=(1,))
+
+    def test_integral_dim_and_steps_become_ints(self):
+        cfg = xp.ExperimentConfig(dim=3.0, steps=np.int64(4), seeds=(1,))
+        assert (cfg.dim, cfg.steps) == (3, 4)
+        assert type(cfg.dim) is int and type(cfg.steps) is int
+        assert len(xp.run_experiment(cfg).runs[0].s_values) == 5
+
     def test_integral_seeds_become_ints(self):
         cfg = xp.ExperimentConfig(dim=2, seeds=(2.0, np.int64(3), 0))
         assert cfg.seeds == (2, 3, 0)

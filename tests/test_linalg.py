@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -263,6 +264,28 @@ class TestSchur:
         assert form.t.shape == form.q.shape == (0, 0)
         assert form.eigenvalues.shape == (0,)
         assert capfd.readouterr() == ("", "")
+
+
+class TestFrobenius:
+    def test_matches_numpy_norm_bit_for_bit(self):
+        rng = np.random.default_rng(18)
+        for dim in range(0, 41):
+            for scale in (1e-150, 1.0, 1e150):
+                real = scale * rng.standard_normal((dim, 2 * dim + 1))
+                cplx = real + 1j * scale * rng.standard_normal(real.shape)
+                for a in (real, cplx):
+                    for view in (a, a[:, ::2], a[::2, 1::3], a.T, np.asfortranarray(a)):
+                        got = linalg.frobenius(view)
+                        assert type(got) is float
+                        want = np.linalg.norm(view)
+                        assert np.float64(got).tobytes() == want.tobytes(), (dim, view.strides)
+
+    def test_non_finite_entries(self):
+        a = np.eye(3, dtype=np.complex128)
+        a[0, 1] = complex(np.inf, 1.0)
+        assert linalg.frobenius(a) == math.inf
+        a[0, 1] = complex(1.0, np.nan)
+        assert math.isnan(linalg.frobenius(a))
 
 
 class TestSampling:

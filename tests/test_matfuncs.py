@@ -98,6 +98,36 @@ class TestExpm:
         with pytest.raises(ValueError, match="finite"):
             expm(a)
 
+    def test_dense_overflow_raises_without_warning(self):
+        # both corners nonzero, so the squarings run outside scipy's wrapper
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                expm(np.full((3, 3), 400.0))
+
+    @pytest.mark.parametrize(
+        "structure", ["dense", "upper", "lower", "diagonal", "corner-zero"]
+    )
+    def test_matches_scipy_expm_bit_for_bit(self, structure):
+        # the dense route calls scipy's kernels directly; a scipy upgrade
+        # that changes them must fail here. 1-norms 1e-3 to 5e3 take 0 to
+        # 10 squarings; the Hermitian part is small, so nothing overflows
+        rng = np.random.default_rng(18)
+        for dim in range(1, 41):
+            for target in (1e-3, 0.5, 5.0, 60.0, 700.0, 5e3):
+                b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                a = (b - b.conj().T) + 0.02 * b
+                if structure == "upper":
+                    a = np.triu(a)
+                elif structure == "lower":
+                    a = np.tril(a)
+                elif structure == "diagonal":
+                    a = np.diag(np.diagonal(a))
+                elif structure == "corner-zero" and dim >= 2:
+                    a[1, 0] = 0.0
+                a *= target / np.abs(a).sum(axis=0).max()
+                assert expm(a).tobytes() == scipy.linalg.expm(a).tobytes(), (dim, target)
+
 
 def mpmath_logm(a, digits=40):
     """V log(D) V^-1 from mpmath's eigendecomposition at ``digits`` digits:
@@ -440,6 +470,42 @@ class TestLogm:
         )
         with pytest.raises(errors.IllConditionedError):
             matfuncs._sqrtm_triu(t)
+
+    def test_square_root_matches_scipy_sqrtm_bit_for_bit(self):
+        # _sqrtm_triu calls scipy's kernel directly; pin it to the public
+        # function on triangular input, roots that blow up included
+        rng = np.random.default_rng(19)
+        inputs = list(root_count_inputs())
+        for dim in range(1, 41):
+            b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            inputs += [np.triu(b), np.triu(b) + dim * np.eye(dim)]
+        for t in inputs:
+            t = np.asarray(t, dtype=np.complex128) + 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                ref = scipy.linalg.sqrtm(t)
+            try:
+                root = matfuncs._sqrtm_triu(t)
+            except errors.IllConditionedError:
+                magnitude = np.abs(ref)
+                limit = matfuncs.SQRT_ENTRY_LIMIT * magnitude.diagonal().max()
+                assert not magnitude.max() <= limit
+                continue
+            assert root.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-300, 5e-324])
+    def test_blown_up_root_is_quiet(self, eps):
+        # the straddling pair's root blows up (to inf at the smallest gap):
+        # an IllConditionedError, and no warning from scipy or numpy
+        t = np.array(
+            [[-1.0 + eps * 1j, 1.0, 0.5], [0.0, -1.0 - eps * 1j, 2.0], [0.0, 0.0, 3.0]],
+            dtype=complex,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(errors.IllConditionedError):
+                matfuncs._logm_triu(t)
+        assert caught == []
 
     @pytest.mark.parametrize("other", [2.0, -1.0 + 1e-6j])
     def test_negative_zero_imaginary_part_on_principal_sheet(self, other):

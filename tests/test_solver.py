@@ -143,10 +143,11 @@ class TestSolveThreeLayer:
                 assert value <= 1e-7, (name, value)
 
     def test_each_instance_matrix_is_factored_once(self, monkeypatch):
-        # make_instance factors the five instance matrices; solve and
-        # verify reuse Y1's and X1 - X2's factors for their three inverses,
-        # so only logm's input and verify's difference_rcond add a factoring
-        calls = {"lu_factor": 0, "inverse": 0}
+        # make_instance factors the five instance matrices; solve reuses
+        # Y1's and X1 - X2's factors for its two inverses and verify Y1's
+        # for its one solve, so only logm's input and verify's
+        # difference_rcond add a factoring
+        calls = {"lu_factor": 0, "inverse": 0, "lu_solve": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -159,12 +160,13 @@ class TestSolveThreeLayer:
         for module in (linalg, solver, matfuncs):
             monkeypatch.setattr(module, "lu_factor", lu_factor)
         monkeypatch.setattr(solver, "inverse", counted("inverse", linalg.inverse))
+        monkeypatch.setattr(solver, "lu_solve", counted("lu_solve", linalg.lu_solve))
         q = [random_matrix(4, seed) for seed in (1, 2, 3, 4)]
         inst = solver.make_instance(*q)
-        assert calls == {"lu_factor": 5, "inverse": 0}
+        assert calls == {"lu_factor": 5, "inverse": 0, "lu_solve": 0}
         rep = solver.verify(solver.solve_three_layer(inst), inst)
         assert rep.passed
-        assert calls == {"lu_factor": 7, "inverse": 3}
+        assert calls == {"lu_factor": 7, "inverse": 2, "lu_solve": 1}
 
     def test_rejected_instance(self):
         inst = solver.make_instance(np.eye(3), np.eye(3), np.eye(3), 2 * np.eye(3))
@@ -276,6 +278,16 @@ class TestVerifyRobustness:
         assert rep.residual1 <= 1e-12
         assert rep.residual2 == math.inf
         assert not rep.passed
+
+    def test_singular_y1_leaves_z_definition_inf(self):
+        # the quotient Y1^-1 Y2 is not formed below inverse()'s rcond floor
+        w = solver.solve_three_layer(admitted_instance(2, seed=9))
+        inst = solver.make_instance(np.eye(2), 2 * np.eye(2), np.ones((2, 2)), np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solver.verify(w, inst)
+        assert rep.identity_checks["z_definition"] == math.inf
+        assert math.isfinite(rep.identity_checks["scale_identity"])
 
     def test_expm_calls_per_interpolant(self, monkeypatch):
         # solve forms two exponentials; verify forms expm(W1 Xi) once
