@@ -36,7 +36,7 @@ from .errors import (
     MaxResampleError,
     NearSingularError,
 )
-from .linalg import GAUSSIAN_KINDS, load_matrix, save_json, save_matrix
+from .linalg import GAUSSIAN_KINDS, frobenius, load_matrix, save_json, save_matrix
 from .matfuncs import PRINCIPAL, expm, logm
 
 
@@ -145,8 +145,8 @@ def cmd_logm(args) -> int:
     lg = logm(a, args.branch_offset)
     out = _matfun_out(args, "logm")
     save_matrix(out, lg)
-    norm_a = float(np.linalg.norm(a))
-    roundtrip = float(np.linalg.norm(expm(lg) - a)) / norm_a if norm_a else 0.0
+    # logm refuses a zero matrix, so the norm of a is positive
+    roundtrip = frobenius(expm(lg) - a) / frobenius(a)
     print(f"wrote {out}")
     print(f"roundtrip residual: {roundtrip:.6e}")
     return 0

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import os
 import statistics
 from dataclasses import dataclass, field
@@ -41,7 +40,16 @@ from .errors import (
     MaxResampleError,
     NearSingularError,
 )
-from .linalg import inverse, lu_factor, lu_solve, require_positive, save_json
+from .linalg import (
+    frobenius,
+    integer_value,
+    inverse,
+    lu_factor,
+    lu_solve,
+    require_nonsingular,
+    require_positive,
+    save_json,
+)
 from .solver import MAX_RESAMPLES, ProblemInstance, draw_instance
 
 #: Largest imaginary magnitude tolerated when coercing inputs to reals.
@@ -133,7 +141,7 @@ def baseline_denominator(inst: ProblemInstance) -> float:
     """
     x1, x2, y1, y2 = _real_quad(inst)
     base = y1 - y2 @ (inverse(x2) @ x1)
-    value = float(np.linalg.norm(base) ** 2)
+    value = frobenius(base) ** 2
     if value == 0.0:
         raise InstanceRejectedError(
             "baseline objective is exactly zero; s-score undefined"
@@ -151,13 +159,7 @@ def _forward(w, quad, activation):
     x1, x2, y1, y2 = quad
     s1 = activation.apply(w @ x1)
     s2 = activation.apply(w @ x2)
-    factors = lu_factor(s2)
-    if factors.rcond <= ACTIVATION_RCOND_FLOOR:
-        raise NearSingularError(
-            f"sigma(W X2) is near singular (rcond {factors.rcond:.3e} <= "
-            f"{ACTIVATION_RCOND_FLOOR:g})",
-            rcond=factors.rcond,
-        )
+    factors = require_nonsingular(lu_factor(s2), ACTIVATION_RCOND_FLOOR, "sigma(W X2)")
     m = lu_solve(factors, s1)
     r = y1 - y2 @ m
     return float((r * r).sum()), (s1, s2, factors, m, r)
@@ -200,18 +202,6 @@ def two_layer_gradient(w, inst: ProblemInstance, activation="sigmoid") -> np.nda
     return _gradient_from_forward(state, quad, activation)
 
 
-def _integer_value(value, rule: str, minimum: int) -> int:
-    """``value`` as an int; ValueError stating ``rule`` unless it is an
-    integer of at least ``minimum`` (an integral float counts, a bool does
-    not)."""
-    integral = isinstance(value, numbers.Integral) or (
-        isinstance(value, float) and value.is_integer()
-    )
-    if isinstance(value, bool) or not integral or value < minimum:
-        raise ValueError(f"{rule}, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings for one descent experiment (all seeds share them).
@@ -220,7 +210,8 @@ class ExperimentConfig:
     ``ACTIVATION_RCOND_FLOOR``. ``dim`` must be an integer of at least 1,
     ``steps`` and each seed nonnegative integers: an integral float
     becomes an int, and a bool, a non-integral or a too-small value raises
-    ValueError naming the field.
+    ValueError naming the field. ``activation`` is a name or an
+    :class:`Activation`, and is stored as its name.
     """
 
     dim: int
@@ -230,19 +221,20 @@ class ExperimentConfig:
     learning_rate: float | None = None  # None -> LEARNING_RATE_SCALE * dim
 
     def __post_init__(self):
-        dim = _integer_value(self.dim, "dim must be an integer >= 1", 1)
-        steps = _integer_value(self.steps, "steps must be an integer >= 0", 0)
+        dim = integer_value(self.dim, "dim must be an integer >= 1", 1)
+        steps = integer_value(self.steps, "steps must be an integer >= 0", 0)
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         if self.learning_rate is not None:
             require_positive(self.learning_rate, "learning_rate")
-        get_activation(self.activation)
+        activation = get_activation(self.activation).kind
         seeds = tuple(
-            _integer_value(s, "seeds must be nonnegative integers", 0) for s in self.seeds
+            integer_value(s, "seeds must be nonnegative integers", 0) for s in self.seeds
         )
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "seeds", seeds)
+        object.__setattr__(self, "activation", activation)
 
     @property
     def effective_learning_rate(self) -> float:
@@ -291,21 +283,14 @@ class ExperimentTrace:
 
 
 def _admitted_real_instance(rng, config: ExperimentConfig, seed: int):
-    resamples = 0
-    while True:
+    for resamples in range(MAX_RESAMPLES):
         inst = draw_instance(rng, config.dim, "real-gaussian")
         if inst.admitted(ACTIVATION_RCOND_FLOOR):
             try:
-                denom = baseline_denominator(inst)
+                return inst, baseline_denominator(inst), resamples
             except InstanceRejectedError:
                 pass
-            else:
-                return inst, denom, resamples
-        resamples += 1
-        if resamples >= MAX_RESAMPLES:
-            raise MaxResampleError(
-                f"seed {seed}: no admitted instance after {resamples} draws"
-            )
+    raise MaxResampleError(f"seed {seed}: no admitted instance after {MAX_RESAMPLES} draws")
 
 
 def _descend(w0, quad, denom, config: ExperimentConfig, activation) -> list:
@@ -345,27 +330,21 @@ def _run_seed(seed: int, config: ExperimentConfig) -> SeedRun:
     activation = get_activation(config.activation)
     inst, denom, instance_resamples = _admitted_real_instance(rng, config, seed)
     quad = _real_quad(inst)
-    w_resamples = 0
-    while True:
+    for w_resamples in range(MAX_RESAMPLES):
         w0 = rng.normal(0.0, math.sqrt(1.0 / config.dim), size=(config.dim, config.dim))
         try:
             series = _descend(w0, quad, denom, config, activation)
         except (NearSingularError, FloatingPointError):
-            w_resamples += 1
-            if w_resamples >= MAX_RESAMPLES:
-                raise MaxResampleError(
-                    f"seed {seed}: {w_resamples} consecutive failed descents"
-                ) from None
             continue
-        break
-    return SeedRun(
-        seed=seed,
-        s_values=tuple(series),
-        baseline_denominator=denom,
-        w_resamples=w_resamples,
-        instance_resamples=instance_resamples,
-        diverged=series[-1] > DIVERGENCE_FACTOR * series[0],
-    )
+        return SeedRun(
+            seed=seed,
+            s_values=tuple(series),
+            baseline_denominator=denom,
+            w_resamples=w_resamples,
+            instance_resamples=instance_resamples,
+            diverged=series[-1] > DIVERGENCE_FACTOR * series[0],
+        )
+    raise MaxResampleError(f"seed {seed}: {MAX_RESAMPLES} consecutive failed descents")
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentTrace:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -39,7 +40,7 @@ CMatrix = np.ndarray
 
 #: rcond at or below which a matrix counts as singular to working
 #: precision: :func:`inverse` and :func:`~expnet.matfuncs.logm` raise
-#: NearSingularError there.
+#: NearSingularError there (see :func:`require_nonsingular`).
 SINGULAR_RCOND = 1e-10
 
 #: The entry distributions :func:`gaussian_entries` draws from.
@@ -67,8 +68,7 @@ def cmatrix(entries) -> CMatrix:
         If any entry is NaN or infinite.
     """
     a = np.array(entries, dtype=np.complex128, order="C")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square 2-D matrix, got shape {a.shape}")
+    _check_square(a)
     require_finite(a)
     a.flags.writeable = False
     return a
@@ -110,9 +110,21 @@ def require_positive(value: float, what: str) -> None:
         raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
-def _check_square(a: np.ndarray, name: str = "matrix") -> None:
+def integer_value(value, rule: str, minimum: float = -math.inf) -> int:
+    """``value`` as an int; ValueError stating ``rule`` unless it is an
+    integer of at least ``minimum`` (an integral float counts, a bool does
+    not)."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral or value < minimum:
+        raise ValueError(f"{rule}, got {value!r}")
+    return int(value)
+
+
+def _check_square(a: np.ndarray) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{name} must be square 2-D, got shape {a.shape}")
+        raise DimensionError(f"matrix must be square 2-D, got shape {a.shape}")
 
 
 @dataclass(frozen=True)
@@ -206,6 +218,19 @@ def lu_solve(factors: LuFactors, b: np.ndarray, trans: int = 0) -> np.ndarray:
     return x
 
 
+def require_nonsingular(
+    factors: LuFactors, floor: float = SINGULAR_RCOND, what: str = "matrix"
+) -> LuFactors:
+    """``factors``; NearSingularError naming ``what`` and carrying their
+    rcond unless it is above ``floor``."""
+    if factors.rcond <= floor:
+        raise NearSingularError(
+            f"{what} is near-singular: rcond {factors.rcond:.3e} <= floor {floor:.3e}",
+            rcond=factors.rcond,
+        )
+    return factors
+
+
 def inverse(a: CMatrix, factors: LuFactors | None = None) -> CMatrix:
     """Invert a square matrix, guarded by the floor ``SINGULAR_RCOND``.
 
@@ -225,12 +250,7 @@ def inverse(a: CMatrix, factors: LuFactors | None = None) -> CMatrix:
     """
     if factors is None:
         factors = lu_factor(a)
-    if factors.rcond <= SINGULAR_RCOND:
-        raise NearSingularError(
-            f"matrix is near-singular: rcond {factors.rcond:.3e} <= floor "
-            f"{SINGULAR_RCOND:.3e}",
-            rcond=factors.rcond,
-        )
+    require_nonsingular(factors)
     return lu_solve(factors, np.eye(a.shape[0], dtype=factors.lu.dtype))
 
 
@@ -251,20 +271,11 @@ def _no_sort(*_):  # pragma: no cover - zgees calls it only when sorting
     return None
 
 
-@functools.cache
-def _gees_lwork(n: int) -> int:
-    """zgees's optimal workspace for order ``n``, from a workspace query."""
-    work = _lapack(np.dtype(np.complex128)).gees(
-        _no_sort, np.zeros((n, n), dtype=np.complex128), lwork=-1
-    )[-2]
-    return int(work[0].real)
-
-
 def schur_decompose(a: CMatrix) -> SchurForm:
     """Complex Schur form via Hessenberg reduction plus shifted QR.
 
-    LAPACK zgees runs directly from a cached handle, with its optimal
-    workspace queried once per order. The strictly lower triangle of
+    LAPACK zgees runs directly from a cached handle, with the default
+    workspace of scipy's wrapper (3n). The strictly lower triangle of
     ``t`` is exactly zero. Raises ``ValueError`` on NaN or infinite
     entries, and :class:`ConvergenceError` if the QR iteration hits the
     backend sweep cap (about 30 sweeps per eigenvalue) without deflating.
@@ -272,11 +283,10 @@ def schur_decompose(a: CMatrix) -> SchurForm:
     _check_square(a)
     a = np.ascontiguousarray(a, dtype=np.complex128)
     require_finite(a)
-    n = a.shape[0]
-    if n == 0:  # zgees rejects n = 0
+    if a.size == 0:  # zgees rejects n = 0
         t = q = np.empty((0, 0), dtype=np.complex128)
     else:
-        t, _, _, q, _, info = _lapack(a.dtype).gees(_no_sort, a, lwork=_gees_lwork(n))
+        t, _, _, q, _, info = _lapack(a.dtype).gees(_no_sort, a)
         if info > 0:
             raise ConvergenceError(f"QR iteration did not converge (zgees info={info})")
         if info < 0:  # pragma: no cover - illegal-argument path
@@ -361,7 +371,12 @@ def save_matrix(path, a: CMatrix) -> None:
     save_json(path, matrix_to_json(a))
 
 
+def load_json(path):
+    """Read one JSON document from a file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def load_matrix(path) -> CMatrix:
     """Read a matrix JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
+    return matrix_from_json(load_json(path))

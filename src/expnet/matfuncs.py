@@ -37,13 +37,15 @@ from .errors import (
 )
 from .linalg import (
     CMatrix,
-    SINGULAR_RCOND,
     SchurForm,
     _check_square,
     _lapack,
+    frobenius,
+    integer_value,
     lu_factor,
     one_norm,
     require_finite,
+    require_nonsingular,
     schur_decompose,
 )
 
@@ -293,7 +295,7 @@ def eigenvector_condition_estimate(form: SchurForm) -> float:
     roundtrip bound (the computation itself still proceeds).
     """
     eig = form.eigenvalues
-    offdiag = float(np.linalg.norm(np.triu(form.t, 1)))
+    offdiag = frobenius(np.triu(form.t, 1))
     if len(eig) < 2 or offdiag == 0.0:
         return 1.0
     gaps = _eigenvalue_gaps(eig)
@@ -308,8 +310,9 @@ def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
 
     ``branch = k`` selects log lam = ln|lam| + i*(arg lam + 2*pi*k) for
     every eigenvalue, principal arg in (-pi, pi]. The default k = 0 is
-    the principal branch. Any k yields a valid logarithm because the
-    matrix exponential maps all of them back to the same matrix.
+    the principal branch. Any integer k yields a valid logarithm because
+    the matrix exponential maps all of them back to the same matrix; an
+    integral float counts as an integer.
 
     Accuracy contract: ``||expm(logm(a)) - a||_F <= 1e-8 * ||a||_F *
     max(1, kappa)`` with kappa from
@@ -317,6 +320,8 @@ def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
 
     Raises
     ------
+    ValueError
+        For a bool or non-integral ``branch``, or a NaN or infinite entry.
     NearSingularError
         rcond at or below :data:`~expnet.linalg.SINGULAR_RCOND`, or a zero
         eigenvalue in the Schur form; ``rcond`` holds the LU estimate.
@@ -329,15 +334,10 @@ def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
         The square-root chain did not reach the Pade region within
         ``LOGM_MAX_SQRTS`` roots.
     """
-    _check_square(a)
+    branch = integer_value(branch, "branch must be an integer")
     a = np.asarray(a, dtype=np.complex128)
-    require_finite(a)
-    factors = lu_factor(a)
-    if factors.rcond <= SINGULAR_RCOND:
-        raise NearSingularError(
-            f"matrix is singular to working precision (rcond {factors.rcond:.3e})",
-            rcond=factors.rcond,
-        )
+    # lu_factor refuses a non-square or non-finite matrix
+    factors = require_nonsingular(lu_factor(a))
     form = schur_decompose(a)
     if np.any(form.eigenvalues == 0):
         raise NearSingularError("zero eigenvalue; no logarithm exists", factors.rcond)

@@ -24,7 +24,6 @@ satisfies.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -36,20 +35,23 @@ from .errors import (
     InstanceRejectedError,
     MatrixFormatError,
     MaxResampleError,
+    NearSingularError,
 )
 from .linalg import (
-    SINGULAR_RCOND,
     CMatrix,
     cmatrix,
     frobenius,
     gaussian_entries,
+    integer_value,
     inverse,
+    load_json,
     load_matrix,
     lu_factor,
     lu_solve,
     matrix_from_json,
     matrix_to_json,
     require_finite,
+    require_nonsingular,
     require_positive,
     save_json,
     save_matrix,
@@ -144,11 +146,13 @@ def random_instance(
     """Sample Gaussian instances until one clears ``ADMISSION_RCOND``.
 
     Deterministic for fixed arguments: a single PCG64 stream seeded with
-    ``seed`` supplies every draw. Raises :class:`MaxResampleError` after
-    ``MAX_RESAMPLES`` consecutive rejections.
+    ``seed`` supplies every draw. ``dim`` must be an integer >= 1 and
+    ``seed`` one >= 0 (an integral float counts, a bool does not), else
+    ValueError. Raises :class:`MaxResampleError` after ``MAX_RESAMPLES``
+    consecutive rejections.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = integer_value(dim, "dim must be an integer >= 1", 1)
+    seed = integer_value(seed, "seed must be a nonnegative integer", 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(MAX_RESAMPLES):
         inst = draw_instance(rng, dim, kind)
@@ -222,7 +226,8 @@ def solve_three_layer(
     """Closed-form weights interpolating both pairs of an admitted instance.
 
     ``branch`` is the integer k of :func:`~expnet.matfuncs.logm` that picks
-    L among the logarithms of Y1^-1 Y2; alpha only scales and shifts L.
+    L among the logarithms of Y1^-1 Y2 (logm refuses a bool or a
+    non-integral k with ValueError); alpha only scales and shifts L.
 
     Raises
     ------
@@ -342,13 +347,10 @@ def verify(
             checks["commutant_form"] = _ratio(norm(c - closed), norm(c))
             checks["difference_rcond"] = lu_factor(e2 - e1).rcond
             ez = expm(z)
-            y1 = inst.factors["y1"]
-            # a Y1 below the floor of inverse() leaves the check at inf
-            if y1.rcond > SINGULAR_RCOND:
-                quotient = lu_solve(y1, inst.y2)
-                checks["z_definition"] = _ratio(norm(ez - alpha * quotient), norm(ez))
-        # the failures of expm and lu_factor; checks not reached stay inf
-        except (OverflowError, ValueError):
+            quotient = lu_solve(require_nonsingular(inst.factors["y1"]), inst.y2)
+            checks["z_definition"] = _ratio(norm(ez - alpha * quotient), norm(ez))
+        # failures of expm, lu_factor and the singular floor; checks not reached stay inf
+        except (OverflowError, ValueError, NearSingularError):
             pass
 
     passed = residual1 <= tol and residual2 <= tol
@@ -417,8 +419,7 @@ def save_weights(path, weights: ThreeLayerWeights) -> None:
 
 
 def load_weights(path) -> ThreeLayerWeights:
-    with open(path, "r", encoding="utf-8") as fh:
-        return weights_from_json(json.load(fh))
+    return weights_from_json(load_json(path))
 
 
 def save_instance(directory, inst: ProblemInstance, manifest_extra: dict | None = None):
@@ -455,8 +456,7 @@ def load_instance(path) -> ProblemInstance:
     """
     if os.path.isdir(path):
         path = os.path.join(path, "instance.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = load_json(path)
     files = manifest.get("files") if isinstance(manifest, dict) else None
     if not isinstance(files, dict) or not all(
         isinstance(files.get(name), str) for name in _INSTANCE_FILES

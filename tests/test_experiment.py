@@ -492,6 +492,15 @@ class TestTraceFiles:
         assert meta["config"]["learning_rate"] == pytest.approx(3e-3)
         assert len(meta["summary"]["runs"]) == 2
 
+    def test_activation_object_is_written_by_name(self, tmp_path):
+        cfg = xp.ExperimentConfig(dim=2, activation=xp.SIGMOID, steps=3, seeds=(1,))
+        assert cfg.activation == "sigmoid"
+        assert cfg == xp.ExperimentConfig(dim=2, activation="sigmoid", steps=3, seeds=(1,))
+        sidecar = xp.write_trace_csv(xp.run_experiment(cfg), tmp_path / "trace.csv")
+        meta = json.loads((tmp_path / "trace.config.json").read_text())
+        assert sidecar == str(tmp_path / "trace.config.json")
+        assert meta["config"]["activation"] == "sigmoid"
+
     def test_csv_bytes_deterministic(self, tmp_path):
         cfg = xp.ExperimentConfig(dim=3, steps=8, seeds=(4,))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

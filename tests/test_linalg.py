@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -194,6 +195,21 @@ class TestInverse:
         with pytest.raises(errors.NearSingularError) as given:
             linalg.inverse(a, linalg.lu_factor(a))
         assert given.value.rcond == fresh.value.rcond == linalg.lu_factor(a).rcond
+
+
+class TestRequireNonsingular:
+    def test_returns_the_factors_above_the_floor(self):
+        factors = linalg.lu_factor(np.diag([1.0, 1e-7]))
+        assert linalg.require_nonsingular(factors) is factors
+
+    @pytest.mark.parametrize("floor", [linalg.SINGULAR_RCOND, 1e-6])
+    def test_refuses_at_the_floor(self, floor):
+        factors = linalg.LuFactors(lu=np.eye(2), piv=np.zeros(2, np.int32), rcond=floor)
+        with pytest.raises(errors.NearSingularError, match="^thing is near-singular") as info:
+            linalg.require_nonsingular(factors, floor, "thing")
+        assert info.value.rcond == floor
+        above = dataclasses.replace(factors, rcond=floor * (1 + 2**-52))
+        assert linalg.require_nonsingular(above, floor, "thing") is above
 
 
 # inputs with structure, extreme scales or repeated eigenvalues, on which

@@ -1,5 +1,6 @@
 import bisect
 import math
+import re
 import warnings
 
 import mpmath
@@ -377,6 +378,29 @@ class TestLogm:
         assert np.linalg.norm(expm(shifted) - a) <= 1e-8 * np.linalg.norm(a)
         down = logm(a, -2)
         assert np.linalg.norm(expm(down) - a) <= 1e-8 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("branch", [0.5, -1.5, True, False, math.nan, math.inf, "1"])
+    def test_branch_must_be_an_integer(self, branch):
+        # a half-integer branch would return L + i*pi*I, whose exponential is -a
+        with pytest.raises(ValueError, match=f"^branch .*got {re.escape(repr(branch))}$"):
+            logm(random_matrix(3, seed=5), branch)
+
+    def test_integral_branch_values_give_the_same_bytes(self):
+        a = random_matrix(3, seed=5)
+        assert logm(a, 1.0).tobytes() == logm(a, 1).tobytes()
+        assert logm(a, np.int64(-2)).tobytes() == logm(a, -2).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
+    def test_non_square_input_is_a_dimension_error(self, shape):
+        with pytest.raises(errors.DimensionError):
+            logm(np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entry_is_a_value_error(self, bad):
+        a = np.eye(3, dtype=complex)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            logm(a)
 
     def test_singular_rejected(self):
         with pytest.raises(errors.NearSingularError) as info:

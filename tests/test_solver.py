@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -57,6 +58,22 @@ class TestInstances:
         monkeypatch.setattr(solver.ProblemInstance, "admitted", lambda *_: False)
         with pytest.raises(errors.MaxResampleError):
             solver.random_instance(4, seed=1)
+
+    @pytest.mark.parametrize("dim", [0, -2, 2.5, True, math.nan, math.inf, "3"])
+    def test_random_instance_dim_must_be_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match=f"^dim .*got {re.escape(repr(dim))}$"):
+            solver.random_instance(dim, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, math.nan, math.inf, "1"])
+    def test_random_instance_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"^seed .*got {re.escape(repr(seed))}$"):
+            solver.random_instance(3, seed=seed)
+
+    def test_random_instance_takes_integral_floats(self):
+        a = solver.random_instance(3.0, seed=np.int64(5))
+        b = solver.random_instance(3, seed=5)
+        for name in ("x1", "x2", "y1", "y2"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     def test_instance_file_roundtrip(self, tmp_path):
         inst = admitted_instance(3, seed=8)
@@ -125,6 +142,20 @@ class TestSolveThreeLayer:
             w = solver.solve_three_layer(inst, branch=offset)
             rep = solver.verify(w, inst, tol=1e-7)
             assert rep.passed, (offset, rep.residual1, rep.residual2)
+
+    @pytest.mark.parametrize("branch", [0.5, True])
+    def test_branch_must_be_an_integer(self, branch):
+        # branch 0.5 used to give weights that miss Y2 by a relative 2.0
+        with pytest.raises(ValueError, match="^branch "):
+            solver.solve_three_layer(admitted_instance(3, seed=5), branch=branch)
+
+    def test_integral_branch_values_give_the_same_weights(self):
+        inst = admitted_instance(3, seed=5)
+        ref = solver.solve_three_layer(inst, branch=1)
+        for branch in (1.0, np.int64(1)):
+            w = solver.solve_three_layer(inst, branch=branch)
+            for name in ("w1", "w2", "w3", "z"):
+                assert getattr(w, name).tobytes() == getattr(ref, name).tobytes()
 
     def test_residual1_reports_a_miss_at_x1(self):
         # battery instance whose weights miss Y1 by 7e-2 in 50-digit
