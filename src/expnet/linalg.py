@@ -1,6 +1,7 @@
 """Dense linear algebra: validated matrix values, LU with condition
 estimation, complex Schur decomposition, reproducible Gaussian sampling,
-and the repo-wide matrix JSON format.
+and the repo-wide matrix JSON format, whose readers reuse a recently
+decoded file text (see :func:`load_decoded`).
 
 Matrices are plain ``numpy.ndarray`` values. :func:`cmatrix` is the
 validating constructor of complex128 matrices; it returns a read-only
@@ -22,6 +23,8 @@ import functools
 import json
 import math
 import numbers
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -105,9 +108,11 @@ def frobenius(a: np.ndarray) -> float:
 
 
 def require_positive(value: float, what: str) -> None:
-    """Raise ValueError unless the scalar ``value`` is positive and finite."""
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{what} must be positive and finite, got {value}")
+    """Raise ValueError naming ``what`` unless ``value`` is a positive,
+    finite real number (a bool, a string or a complex is refused)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and value > 0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be positive and finite, got {value!r}")
 
 
 def integer_value(value, rule: str, minimum: float = -math.inf) -> int:
@@ -353,8 +358,8 @@ def matrix_from_json(obj: dict) -> CMatrix:
     return cmatrix(pairs.view(np.complex128)[..., 0])
 
 
-def save_json(path, obj, indent=None) -> None:
-    """Write ``obj`` as one JSON document plus a newline.
+def save_json(path, obj, indent=None) -> str:
+    """Write ``obj`` as one JSON document plus a newline; return that text.
 
     One ``json.dumps`` call and one write: ``json.dump`` streams through
     the pure-Python encoder. ``obj`` must hold no reference cycle, as the
@@ -364,19 +369,81 @@ def save_json(path, obj, indent=None) -> None:
     text = json.dumps(obj, indent=indent, check_circular=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+    return text
 
 
 def save_matrix(path, a: CMatrix) -> None:
-    """Write a matrix JSON file."""
-    save_json(path, matrix_to_json(a))
+    """Write a matrix JSON file.
+
+    When ``a`` is finite, the text written is kept for :func:`load_matrix`
+    with ``cmatrix(a)`` as its decoded value: floats are written with
+    ``repr``, which round-trips, so decoding that text gives those bits.
+    """
+    text = save_json(path, matrix_to_json(a))
+    if np.isfinite(a).all():
+        _remember(("matrix", text), cmatrix(a))
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file; MatrixFormatError if it is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def load_json(path):
-    """Read one JSON document from a file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """Read one JSON document from a UTF-8 file."""
+    return json.loads(read_text(path))
+
+
+# -- decoded files, reused within a process ----------------------------------
+#
+# The commands of one pipeline read the same files again (verify reads the
+# instance that solve read, and gen has just written it), and decoding took
+# a third of their time at d = 32. So the last few decoded values are kept,
+# keyed by the file's exact text: every load still reads its file, and an
+# edited file never matches an old text. Values are immutable (read-only
+# matrices, frozen weights of read-only matrices), and errors are not kept.
+
+#: Decoded matrix and weights files kept per process (one pipeline of
+#: gen, solve, verify, eval and logm uses seven).
+DECODE_MEMO_SIZE = 8
+
+_decoded: OrderedDict = OrderedDict()  # (kind, text) -> value, oldest first
+_decoded_lock = threading.Lock()
+
+
+def _remember(key, value) -> None:
+    # room is made before the insert, so the memo never holds more
+    with _decoded_lock:
+        _decoded.pop(key, None)
+        while len(_decoded) >= DECODE_MEMO_SIZE:
+            _decoded.popitem(last=False)
+        _decoded[key] = value
+
+
+def load_decoded(path, kind: str, decode):
+    """``decode(json.loads(text))`` of the file at ``path``.
+
+    The file is read on every call, and decoded unless a value of this
+    ``kind`` for the same text is among the last ``DECODE_MEMO_SIZE``
+    decoded or written; ``decode`` must return an immutable value.
+    """
+    text = read_text(path)
+    key = (kind, text)
+    with _decoded_lock:
+        value = _decoded.get(key)
+        if value is not None:
+            _decoded.move_to_end(key)
+            return value
+    value = decode(json.loads(text))
+    _remember(key, value)
+    return value
 
 
 def load_matrix(path) -> CMatrix:
-    """Read a matrix JSON file."""
-    return matrix_from_json(load_json(path))
+    """Read a matrix JSON file (reusing a decoded text, see :func:`load_decoded`)."""
+    return load_decoded(path, "matrix", matrix_from_json)

@@ -44,6 +44,7 @@ from .linalg import (
     gaussian_entries,
     integer_value,
     inverse,
+    load_decoded,
     load_json,
     load_matrix,
     lu_factor,
@@ -419,7 +420,9 @@ def save_weights(path, weights: ThreeLayerWeights) -> None:
 
 
 def load_weights(path) -> ThreeLayerWeights:
-    return weights_from_json(load_json(path))
+    """Read a weights file (reusing a decoded text, see
+    :func:`~expnet.linalg.load_decoded`)."""
+    return load_decoded(path, "weights", weights_from_json)
 
 
 def save_instance(directory, inst: ProblemInstance, manifest_extra: dict | None = None):

@@ -7,12 +7,21 @@ central differences. Slow is fine; agreeing with the implementation by
 construction is not. The library ships none of them.
 """
 
-import numpy as np
-import pytest
-from scipy.optimize import linear_sum_assignment
+import os
+from collections import OrderedDict
 
-from expnet import expm, linalg
-from expnet.errors import NearSingularError
+# One BLAS thread unless the caller chose a count: the tests' matrices are
+# small, and OpenBLAS's thread pool makes small LAPACK calls slower. This
+# must run before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from scipy.optimize import linear_sum_assignment  # noqa: E402
+
+from expnet import expm, linalg, solver  # noqa: E402
+from expnet.errors import NearSingularError  # noqa: E402
 
 
 def taylor_expm(a, terms=30):
@@ -132,6 +141,27 @@ def central_difference(f, w, h=1e-6):
         w[index] = saved
         grad[index] = (plus - minus) / (2.0 * h)
     return grad
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Start from an empty decode memo and count matrix decodes.
+
+    ``matrix_from_json`` is replaced wherever the package binds it (the
+    weights decoder calls the binding in ``solver``); the count is
+    ``decodes["n"]``.
+    """
+    monkeypatch.setattr(linalg, "_decoded", OrderedDict())
+    count = {"n": 0}
+    decode = linalg.matrix_from_json
+
+    def counted(obj):
+        count["n"] += 1
+        return decode(obj)
+
+    for module in (linalg, solver):
+        monkeypatch.setattr(module, "matrix_from_json", counted)
+    return count
 
 
 @pytest.fixture

@@ -321,6 +321,24 @@ class TestMatrixFunctions:
         assert run_cli("solve", "--instance", "inst") == 4
         assert "error [MatrixFormatError]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["logm", "--in", "inst/y1.json"], "inst/y1.json"),
+            (["verify", "--instance", "inst", "--weights", "inst/weights.json"],
+             "inst/weights.json"),
+            (["solve", "--instance", "inst"], "inst/instance.json"),
+        ],
+        ids=["matrix", "weights", "manifest"],
+    )
+    def test_file_that_is_not_utf8_exit_4(self, workdir, capsys, argv, bad):
+        run_cli("gen", "--dim", "2", "--seed", "3", "--out", "inst")
+        assert run_cli("solve", "--instance", "inst") == 0
+        (workdir / bad).write_bytes(b"\xff\xfe{\x00\"\x00d\x00")
+        assert run_cli(*argv) == 4
+        err = capsys.readouterr().err
+        assert "error [MatrixFormatError]" in err and "not UTF-8" in err
+
     def test_branch_offset_flag(self, workdir):
         a = random_matrix(2, seed=5)
         linalg.save_matrix(workdir / "a.json", a)

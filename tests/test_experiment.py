@@ -235,6 +235,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="learning_rate"):
             xp.ExperimentConfig(dim=4, learning_rate=lr)
 
+    @pytest.mark.parametrize(
+        "lr", [True, np.True_, "0.1", 1 + 0j], ids=["bool", "numpy-bool", "str", "complex"]
+    )
+    def test_learning_rate_must_be_a_real_number(self, lr):
+        with pytest.raises(ValueError, match="^learning_rate must be positive and finite"):
+            xp.ExperimentConfig(dim=4, learning_rate=lr)
+
+    def test_real_learning_rates_are_accepted(self):
+        for lr in (2, np.float32(0.5), np.int64(3)):
+            assert xp.ExperimentConfig(dim=4, learning_rate=lr).learning_rate == lr
+
 
 class TestRunExperiment:
     def test_descent_makes_progress(self):

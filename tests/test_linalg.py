@@ -1,11 +1,16 @@
 import dataclasses
 import json
 import math
+import sys
+import tempfile
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from expnet import errors, linalg
@@ -391,3 +396,112 @@ class TestMatrixJson:
         linalg.save_matrix(p1, a)
         linalg.save_matrix(p2, a)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@st.composite
+def finite_matrices(draw):
+    """d <= 4 complex matrices of any finite float64 parts: signed zeros,
+    subnormals and the ends of the float range included."""
+    dim = draw(st.integers(1, 4))
+    parts = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=2 * dim * dim, max_size=2 * dim * dim)
+    pairs = np.array(draw(parts), dtype=np.float64).reshape(dim, dim, 2)
+    return pairs[..., 0] + 1j * pairs[..., 1]
+
+
+class TestDecodeMemo:
+    """load_matrix and load_weights read the file on every call and reuse
+    the decoded value of a text they have decoded or written recently."""
+
+    def test_a_file_overwritten_through_json_loads_anew(self, tmp_path, decodes):
+        path = tmp_path / "m.json"
+        a, b = random_matrix(3, seed=1), random_matrix(3, seed=2)
+        linalg.save_matrix(path, a)
+        assert linalg.load_matrix(path).tobytes() == linalg.cmatrix(a).tobytes()
+        assert decodes["n"] == 0  # the text save_matrix wrote
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(linalg.matrix_to_json(b), fh)
+        assert linalg.load_matrix(path).tobytes() == linalg.cmatrix(b).tobytes()
+        assert decodes["n"] == 1
+
+    def test_a_hit_equals_a_fresh_decode_and_is_read_only(self, tmp_path, decodes):
+        written, plain = tmp_path / "written.json", tmp_path / "plain.json"
+        linalg.save_matrix(written, random_matrix(4, seed=3))
+        plain.write_text(json.dumps(linalg.matrix_to_json(random_matrix(4, seed=4))))
+        for path in (written, plain, written, plain):
+            got = linalg.load_matrix(path)
+            fresh = linalg.matrix_from_json(json.loads(path.read_text()))
+            assert got.tobytes() == fresh.tobytes()
+            assert got.dtype == np.complex128 and not got.flags.writeable
+        assert decodes["n"] == 1 + 4  # plain's first load, and the fresh ones
+
+    def test_errors_are_raised_on_every_load(self, tmp_path, decodes):
+        nan, bad = tmp_path / "nan.json", tmp_path / "bad.json"
+        linalg.save_matrix(nan, np.array([[1.0, np.nan], [0.0, 1.0]]))
+        bad.write_text('{"dim": 2, "entries": [[[1.0, 0.0]]]}')
+        for path in (nan, bad, nan, bad):
+            with pytest.raises(errors.MatrixFormatError):
+                linalg.load_matrix(path)
+        assert decodes["n"] == 4
+        assert not linalg._decoded
+
+    def test_memo_stays_within_its_size(self, tmp_path, decodes):
+        size = linalg.DECODE_MEMO_SIZE
+        assert size <= 8
+        paths = [tmp_path / f"m{i}.json" for i in range(3 * size)]
+        for i, path in enumerate(paths):
+            path.write_text(json.dumps(linalg.matrix_to_json(np.eye(2) * (i + 1))))
+            linalg.load_matrix(path)
+            linalg.save_matrix(tmp_path / "out.json", np.eye(2) * -(i + 1))
+            assert len(linalg._decoded) <= size
+        assert decodes["n"] == len(paths)
+        linalg.load_matrix(paths[-1])  # still kept
+        linalg.load_matrix(paths[0])  # long since dropped
+        assert decodes["n"] == len(paths) + 1
+
+    def test_threads_share_the_memo(self, tmp_path, decodes):
+        # more threads than cores, switching often: each load still gives
+        # its own file's matrix, and the memo keeps its bound
+        matrices = [linalg.cmatrix(np.eye(3) * (k + 1)) for k in range(12)]
+        paths = [tmp_path / f"m{k}.json" for k in range(12)]
+        for path, a in zip(paths, matrices):
+            path.write_text(json.dumps(linalg.matrix_to_json(a)))
+        failures = []
+
+        def work(t):
+            try:
+                for i in range(200):
+                    k = (5 * t + i) % 12
+                    if linalg.load_matrix(paths[k]).tobytes() != matrices[k].tobytes():
+                        failures.append(("wrong matrix", k))
+                    if len(linalg._decoded) > linalg.DECODE_MEMO_SIZE:
+                        failures.append(("size", len(linalg._decoded)))
+                    linalg.save_matrix(tmp_path / f"out{t}.json", matrices[(k + 1) % 12])
+            except Exception as exc:  # reported below, not lost with the thread
+                failures.append(("raised", repr(exc)))
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(a=finite_matrices())
+    @example(a=np.array([[complex(-0.0, 5e-324), complex(1e308, -1e308)],
+                         [complex(-1e308, 0.0), complex(2.5e-310, -0.0)]]))
+    @example(a=np.array([[complex(1.7976931348623157e308, -2.2250738585072014e-308)]]))
+    def test_decoding_what_save_matrix_wrote_gives_its_bits(self, a):
+        # the premise of keeping cmatrix(a) for the text save_matrix wrote
+        with tempfile.TemporaryDirectory() as where:
+            path = Path(where) / "m.json"
+            linalg.save_matrix(path, a)
+            decoded = linalg.matrix_from_json(json.loads(path.read_text()))
+        assert decoded.tobytes() == linalg.cmatrix(a).tobytes()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from expnet import errors, linalg, matfuncs, solver
+from expnet import cli, errors, linalg, matfuncs, solver
 
 from conftest import oracle_expm, random_matrix
 
@@ -199,6 +199,28 @@ class TestSolveThreeLayer:
         assert rep.passed
         assert calls == {"lu_factor": 7, "inverse": 2, "lu_solve": 1}
 
+    def test_a_cli_chain_decodes_each_matrix_once(self, tmp_path, decodes, capsys):
+        # gen's four matrices are kept as it writes them, so solve, verify,
+        # eval and logm decode only the weights file, once: 4 matrices in
+        # all. A chain repeated after 18 others decodes as much again.
+        def chain(seed):
+            inst = tmp_path / f"s{seed}"
+            for argv in (
+                ["gen", "--dim", "2", "--seed", str(seed), "--out", str(inst)],
+                ["solve", "--instance", str(inst)],
+                ["verify", "--instance", str(inst), "--weights", str(inst / "weights.json")],
+                ["eval", "--weights", str(inst / "weights.json"), "--in",
+                 str(inst / "x1.json"), "--out", str(inst / "fx1.json")],
+                ["logm", "--in", str(inst / "y1.json"), "--out", str(inst / "y1.logm.json")],
+            ):
+                assert cli.run(argv) == 0, argv
+            count, decodes["n"] = decodes["n"], 0
+            return count
+
+        assert chain(1) == 4
+        assert [chain(seed) for seed in range(2, 20)] == [4] * 18
+        assert chain(1) == 4
+
     def test_rejected_instance(self):
         inst = solver.make_instance(np.eye(3), np.eye(3), np.eye(3), 2 * np.eye(3))
         with pytest.raises(errors.InstanceRejectedError):
@@ -284,6 +306,19 @@ class TestVerifyRobustness:
         with pytest.raises(ValueError, match="tol"):
             solver.verify(w, inst, tol=tol)
 
+    @pytest.mark.parametrize(
+        "value", [True, np.True_, "0.1", 1 + 0j], ids=["bool", "numpy-bool", "str", "complex"]
+    )
+    def test_tol_and_alpha_must_be_real_numbers(self, value):
+        inst = admitted_instance(2, seed=1)
+        w = solver.solve_three_layer(inst)
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            solver.verify(w, inst, tol=value)
+        with pytest.raises(ValueError, match="^alpha must be positive and finite"):
+            solver.solve_three_layer(inst, alpha=value)
+        with pytest.raises(ValueError, match="^alpha must be positive and finite"):
+            solver.ThreeLayerWeights(w1=w.w1, w2=w.w2, w3=w.w3, alpha=value, z=w.z)
+
     def test_unexpected_errors_propagate(self, monkeypatch):
         # the check block catches only the documented numerical failures
         def broken_lu_factor(a):
@@ -361,6 +396,25 @@ class TestSerialization:
         for name in ("w1", "w2", "w3", "z"):
             assert_array_equal(getattr(again, name), getattr(w, name))
         assert again.alpha == w.alpha
+
+    def test_a_reloaded_weights_file_is_kept_frozen_and_read_only(self, tmp_path, decodes):
+        path = tmp_path / "w.json"
+        solver.save_weights(path, solver.solve_three_layer(admitted_instance(2, seed=7)))
+        first = solver.load_weights(path)
+        assert decodes["n"] == 4  # saving weights keeps no decoded value
+        again = solver.load_weights(path)
+        assert again is first and decodes["n"] == 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            again.alpha = 2.0
+        for name in ("w1", "w2", "w3", "z"):
+            assert not getattr(again, name).flags.writeable
+
+    def test_a_matrix_text_is_not_taken_for_weights(self, tmp_path, decodes):
+        path = tmp_path / "m.json"
+        linalg.save_matrix(path, np.eye(2))
+        assert linalg.load_matrix(path).tobytes() == linalg.cmatrix(np.eye(2)).tobytes()
+        with pytest.raises(errors.MatrixFormatError, match="weights JSON"):
+            solver.load_weights(path)
 
     def test_report_json_shape(self):
         inst = admitted_instance(2, seed=13)
