@@ -39,8 +39,10 @@ class ConvergenceError(ExpnetError):
 
 
 class IllConditionedError(ExpnetError):
-    """A defective eigenvalue cluster straddles the logarithm branch cut,
-    so no accurate primary logarithm can be returned."""
+    """Coupled eigenvalues straddle the logarithm branch cut, so no
+    accurate primary logarithm can be returned: an entry of the
+    triangular logarithm whose span holds such a pair is above
+    ``matfuncs.STRADDLE_LOG_LIMIT``, or NaN."""
 
 
 class InstanceRejectedError(ExpnetError):

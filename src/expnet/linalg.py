@@ -375,13 +375,14 @@ def save_json(path, obj, indent=None) -> str:
 def save_matrix(path, a: CMatrix) -> None:
     """Write a matrix JSON file.
 
-    When ``a`` is finite, the text written is kept for :func:`load_matrix`
-    with ``cmatrix(a)`` as its decoded value: floats are written with
-    ``repr``, which round-trips, so decoding that text gives those bits.
+    A non-finite ``a`` raises ValueError before the file is opened, as
+    :func:`load_matrix` would refuse what it wrote. The text written is
+    kept for :func:`load_matrix` with ``cmatrix(a)`` as its decoded value:
+    floats are written with ``repr``, which round-trips, so decoding that
+    text gives those bits.
     """
-    text = save_json(path, matrix_to_json(a))
-    if np.isfinite(a).all():
-        _remember(("matrix", text), cmatrix(a))
+    a = cmatrix(a)
+    _remember(("matrix", save_json(path, matrix_to_json(a))), a)
 
 
 def read_text(path) -> str:

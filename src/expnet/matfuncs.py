@@ -60,27 +60,17 @@ LOGM_PADE_THETA = (1.59e-5, 2.31e-3, 1.94e-2, 6.21e-2, 1.28e-1, 2.06e-1, 2.88e-1
 #: Square roots logm may take before giving up with ConvergenceError.
 LOGM_MAX_SQRTS = 60
 
-#: Largest strictly-upper entry a square root of the triangular factor may
-#: have, relative to its largest diagonal magnitude. Entry (i, j) is about
-#: t_ij / (sqrt t_ii + sqrt t_jj), and that sum only nears zero when the
-#: two eigenvalues sit astride the branch cut.
-SQRT_ENTRY_LIMIT = 1e8
-
-#: Largest coupling/gap ratio of two eigenvalues astride the branch cut.
-#: The roundtrip error grows as its cube: over 1,500 random rotated pairs
-#: (d 2 to 8), all up to 200 met the logm contract 30x over; misses began
-#: near 640.
-STRADDLE_COUPLING_LIMIT = 200.0
-
 #: Largest entry (i, j) the logarithm of the triangular factor may have
-#: when eigenvalues i..j include a pair astride the branch cut. A pair at
-#: the coupling limit has |log t_ij| = coupling * |2*pi*i / gap| = 2*pi *
-#: 200. A chain of k coupled eigenvalues astride the cut grows the
-#: entries like (coupling/gap)^(k-1) with every pair under the limit:
-#: over 5,500 random inputs with near-defective blocks (d up to 6), the
-#: log missed its roundtrip contract only past 6,000. Random admitted
+#: when eigenvalues i..j include a pair astride the branch cut. Such a
+#: pair with gap g and coupling c has |log t_ij| about c * 2*pi / g, so
+#: the limit admits coupling/gap ratios up to 200: over 1,500 random
+#: rotated pairs (d 2 to 8), all up to 200 met the logm contract 30x
+#: over, and misses began near 640. A chain of k coupled eigenvalues
+#: astride the cut grows the entries like (coupling/gap)^(k-1): over
+#: 5,500 random inputs with near-defective blocks (d up to 6), the log
+#: missed its roundtrip contract only past 6,000. Random admitted
 #: instances stay below 30.
-STRADDLE_LOG_LIMIT = 2.0 * math.pi * STRADDLE_COUPLING_LIMIT
+STRADDLE_LOG_LIMIT = 2.0 * math.pi * 200.0
 
 
 #: The principal logarithm branch, k = 0 (see :func:`logm`).
@@ -151,33 +141,13 @@ def _sqrtm_triu(t: np.ndarray) -> np.ndarray:
 
     scipy's ``recursive_schur_sqrtm``, the kernel of
     ``scipy.linalg.sqrtm``, called directly: it reports an ill-conditioned
-    root only through flags, which are not read here. Refuses a result
-    with a non-finite entry or a strictly-upper entry above
-    ``SQRT_ENTRY_LIMIT`` times its largest diagonal magnitude: two coupled
-    eigenvalues straddle the branch cut. The test is relative, so scaling
-    the input by s scales the root by sqrt(s) and leaves the verdict
-    unchanged.
+    root only through flags, which are not read here. A root blows up only
+    across the branch cut, and :func:`logm` refuses that on the logarithm.
     """
     r, _, _, info = recursive_schur_sqrtm(t)
     if info < 0:  # pragma: no cover - illegal-argument path
         raise ValueError(f"recursive_schur_sqrtm failed with info={info}")
-    magnitude = np.abs(r)
-    # the diagonal holds roots of finite numbers, so it never sets the
-    # verdict; a NaN anywhere fails the comparison
-    if not magnitude.max() <= SQRT_ENTRY_LIMIT * magnitude.diagonal().max():
-        raise IllConditionedError(
-            "two coupled eigenvalues straddle the logarithm branch cut; "
-            "the triangular square root blew up"
-        )
     return r
-
-
-def _eigenvalue_gaps(eig: np.ndarray) -> np.ndarray:
-    """Matrix of pairwise eigenvalue distances |lam_i - lam_j|."""
-    diff = eig[:, None] - eig[None, :]
-    # rounds like scalar abs(); np.abs of a complex array can differ in
-    # the last bit
-    return np.hypot(diff.real, diff.imag)
 
 
 def _span_max(upper: np.ndarray) -> np.ndarray:
@@ -188,35 +158,23 @@ def _span_max(upper: np.ndarray) -> np.ndarray:
     )[::-1]
 
 
-def _reject_straddling_clusters(form: SchurForm) -> np.ndarray:
-    """Refuse inputs with two eigenvalues on different branch sheets whose
-    coupling through the triangular factor exceeds
-    ``STRADDLE_COUPLING_LIMIT`` times their gap.
-
-    Pair i < j straddles the cut when the principal arguments differ by
-    more than pi; its coupling is the largest strictly-upper entry of
-    ``t[i:j+1, i:j+1]``. Returns the mask of pairs i < j whose span
-    ``i..j`` holds a straddling pair, for the check on the logarithm.
-    """
-    eig = form.eigenvalues
+def _reject_straddling_span(eig: np.ndarray, magnitude: np.ndarray) -> None:
+    """Refuse a logarithm of the triangular factor with an entry (i, j)
+    above ``STRADDLE_LOG_LIMIT``, or NaN, whose span i..j holds two
+    eigenvalues astride the branch cut (principal arguments more than pi
+    apart). ``magnitude`` holds the moduli of the logarithm's entries.
+    A large entry whose span holds no such pair is an accurate log of a
+    non-normal matrix, and passes."""
     args = _principal_log(eig).imag
-    index = np.arange(len(eig))
-    straddle = (np.abs(args[:, None] - args[None, :]) > math.pi) & (
-        index[:, None] < index[None, :]
-    )
-    # t is upper triangular, so this leaves its strictly-upper part
-    upper = np.abs(form.t)
-    np.fill_diagonal(upper, 0.0)
-    coupling = _span_max(upper)
-    gap = _eigenvalue_gaps(eig)
-    bad = straddle & (coupling > STRADDLE_COUPLING_LIMIT * gap)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
+    straddle = np.triu(np.abs(args[:, None] - args[None, :]) > math.pi)
+    over = _span_max(straddle) & ~(magnitude <= STRADDLE_LOG_LIMIT)
+    if over.any():
+        i, j = np.argwhere(over)[0]
         raise IllConditionedError(
-            f"eigenvalues {eig[i]:.6g} and {eig[j]:.6g} form a coupled "
-            f"cluster (gap {gap[i, j]:.3e}) straddling the log branch cut"
+            f"eigenvalues {eig[i]:.6g} to {eig[j]:.6g} span a coupled cluster "
+            "straddling the log branch cut: its logarithm has an entry of "
+            f"modulus {magnitude[i, j]:.3e}, above {STRADDLE_LOG_LIMIT:.0f}"
         )
-    return _span_max(straddle)
 
 
 @functools.cache
@@ -298,7 +256,10 @@ def eigenvector_condition_estimate(form: SchurForm) -> float:
     offdiag = frobenius(np.triu(form.t, 1))
     if len(eig) < 2 or offdiag == 0.0:
         return 1.0
-    gaps = _eigenvalue_gaps(eig)
+    diff = eig[:, None] - eig[None, :]
+    # rounds like scalar abs(); np.abs of a complex array can differ in
+    # the last bit
+    gaps = np.hypot(diff.real, diff.imag)
     np.fill_diagonal(gaps, np.inf)
     floor = np.finfo(float).eps * max(abs(eig).max(), 1e-300)
     gap = max(float(gaps.min()), floor)
@@ -326,10 +287,12 @@ def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
         rcond at or below :data:`~expnet.linalg.SINGULAR_RCOND`, or a zero
         eigenvalue in the Schur form; ``rcond`` holds the LU estimate.
     IllConditionedError
-        Coupled near-multiple eigenvalues straddling the branch cut (a
-        pair coupled above 200 times its gap, or an entry of the
-        triangular log above ``STRADDLE_LOG_LIMIT`` whose span holds such
-        a pair); no accurate primary logarithm exists there.
+        Coupled eigenvalues straddling the branch cut: an entry (i, j)
+        of the triangular log above ``STRADDLE_LOG_LIMIT``, or NaN,
+        where eigenvalues i..j include two whose principal arguments
+        are more than pi apart. No accurate primary logarithm exists
+        there; the message names the eigenvalues at the ends of the
+        span and the entry's modulus.
     ConvergenceError
         The square-root chain did not reach the Pade region within
         ``LOGM_MAX_SQRTS`` roots.
@@ -341,14 +304,11 @@ def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
     form = schur_decompose(a)
     if np.any(form.eigenvalues == 0):
         raise NearSingularError("zero eigenvalue; no logarithm exists", factors.rcond)
-    spans_cut = _reject_straddling_clusters(form)
     log_t = _logm_triu(form.t)
-    # the pair test misses longer coupled chains astride the cut
-    if np.abs(log_t[spans_cut]).max(initial=0.0) > STRADDLE_LOG_LIMIT:
-        raise IllConditionedError(
-            "a coupled eigenvalue cluster straddles the log branch cut; "
-            f"its logarithm has an entry above {STRADDLE_LOG_LIMIT:.0f}"
-        )
+    magnitude = np.abs(log_t)
+    # written so that a NaN from an overflowed root fails the test
+    if not magnitude.max(initial=0.0) <= STRADDLE_LOG_LIMIT:
+        _reject_straddling_span(form.eigenvalues, magnitude)
     if branch:
         log_t = log_t + (2j * math.pi * branch) * np.eye(
             a.shape[0], dtype=np.complex128

@@ -263,12 +263,32 @@ def eval_three_layer(
     """Forward map f(x) = W3 expm(W2 expm(W1 x)).
 
     ``inner`` is expm(W1 x) when the caller has already formed it.
+
+    Raises
+    ------
+    DimensionError
+        If ``x`` and the weights differ in shape.
+    ValueError
+        If an entry of ``x`` is NaN or infinite.
+    OverflowError
+        If an entry overflows in a product or an exponential: the output
+        would hold NaN or infinite entries.
     """
     if x.shape != weights.w1.shape:
         raise DimensionError(f"dimension mismatch: {x.shape} vs {weights.w1.shape}")
-    if inner is None:
-        inner = expm(weights.w1 @ np.asarray(x))
-    return weights.w3 @ expm(weights.w2 @ inner)
+    # with x finite, any non-finite entry below is an overflow
+    require_finite(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if inner is None:
+            inner = expm(_no_overflow(weights.w1 @ x))
+        return _no_overflow(weights.w3 @ expm(_no_overflow(weights.w2 @ inner)))
+
+
+def _no_overflow(product: np.ndarray) -> np.ndarray:
+    """``product`` of finite factors; OverflowError if an entry overflowed."""
+    if not np.isfinite(product).all():
+        raise OverflowError("entries overflowed in the forward map")
+    return product
 
 
 def _ratio(num: float, den: float) -> float:
@@ -331,7 +351,7 @@ def verify(
             return math.inf
         try:
             out = eval_three_layer(weights, x, inner)
-        except (OverflowError, ValueError):
+        except OverflowError:
             return math.inf
         return _ratio(norm(out - y), norm(y))
 

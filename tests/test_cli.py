@@ -170,6 +170,20 @@ class TestSolveVerifyEval:
         assert run_cli("verify", "--instance", "inst", "--weights", "w.json") == 2
         assert "alpha must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("layer", ["w1", "w2", "w3"])
+    def test_eval_overflow_exit_5(self, workdir, capsys, layer):
+        # the forward map overflows: exit 5 and no output file, never a
+        # file of NaN and Infinity entries that every reader refuses
+        run_cli("gen", "--dim", "2", "--seed", "3", "--out", "inst")
+        assert run_cli("solve", "--instance", "inst") == 0
+        weights = json.loads((workdir / "inst/weights.json").read_text())
+        weights[layer] = linalg.matrix_to_json(np.full((2, 2), 1.7e308))
+        (workdir / "w.json").write_text(json.dumps(weights))
+        argv = ("eval", "--weights", "w.json", "--in", "inst/x1.json", "--out", "fx.json")
+        assert run_cli(*argv) == 5
+        assert "error [OverflowError]" in capsys.readouterr().err
+        assert not (workdir / "fx.json").exists()
+
     def test_missing_instance_exit_4(self, workdir):
         assert run_cli("solve", "--instance", "nowhere") == 4
 

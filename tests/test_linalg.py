@@ -355,6 +355,14 @@ class TestMatrixJson:
         assert obj["entries"][0][0] == [1.0, 0.0]
         assert obj["entries"][0][1] == [0.0, 0.0]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_is_not_written(self, tmp_path, bad):
+        # load_matrix would refuse the file, so no file is written
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="finite"):
+            linalg.save_matrix(path, np.array([[1.0, bad], [0.0, 1.0]]))
+        assert not path.exists()
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             linalg.matrix_from_json({"dim": 3, "entries": [[[1.0, 0.0]]]})
@@ -437,7 +445,7 @@ class TestDecodeMemo:
 
     def test_errors_are_raised_on_every_load(self, tmp_path, decodes):
         nan, bad = tmp_path / "nan.json", tmp_path / "bad.json"
-        linalg.save_matrix(nan, np.array([[1.0, np.nan], [0.0, 1.0]]))
+        nan.write_text('{"dim": 2, "entries": [[[1.0, 0.0], [NaN, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}')
         bad.write_text('{"dim": 2, "entries": [[[1.0, 0.0]]]}')
         for path in (nan, bad, nan, bad):
             with pytest.raises(errors.MatrixFormatError):

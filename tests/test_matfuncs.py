@@ -221,6 +221,28 @@ def two_stage_logm_triu(t, sqrtm):
     return out, roots
 
 
+def straddling_inputs(count, seed):
+    """Random inputs with one pair of eigenvalues astride the branch cut,
+    -r +- i*gap/2 at random places on the diagonal of a triangular
+    factor, with d 2 to 8 and the gap (1e-9 to 1e-1) and the scale of
+    the strictly-upper coupling (1e-3 to 10) drawn log-uniformly; the
+    factor is rotated by a random unitary."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = int(rng.integers(2, 9))
+        gap = 10.0 ** rng.uniform(-9, -1)
+        coupling = 10.0 ** rng.uniform(-3, 1)
+        eig = rng.uniform(0.5, 2.0, dim) * np.exp(1j * rng.uniform(-math.pi, math.pi, dim))
+        i, j = rng.choice(dim, size=2, replace=False)
+        radius = rng.uniform(0.5, 2.0)
+        eig[i], eig[j] = -radius + 0.5j * gap, -radius - 0.5j * gap
+        noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        t = np.diag(eig) + coupling * np.triu(noise, 1)
+        gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q = np.linalg.qr(gauss)[0]
+        yield q @ t @ q.conj().T
+
+
 def root_count_inputs():
     """Upper-triangular inputs: random at d 1 to 32, Jordan blocks, and
     pairs of eigenvalues astride the branch cut at -1."""
@@ -415,13 +437,16 @@ class TestLogm:
 
     def test_defective_straddling_cluster_rejected(self):
         # coupled near-equal eigenvalues astride the negative real axis:
-        # no primary logarithm is accurate here, so refuse loudly
+        # no primary logarithm is accurate here, so refuse loudly, naming
+        # the eigenvalues at the ends of the span and the entry's modulus
         eps = 1e-12
         t = np.array(
             [[-1.0 + eps * 1j, 1.0], [0.0, -1.0 - eps * 1j]], dtype=complex
         )
-        with pytest.raises(errors.IllConditionedError):
+        with pytest.raises(errors.IllConditionedError) as info:
             logm(t)
+        assert str(info.value).startswith("eigenvalues -1+1e-12j to -1-1e-12j ")
+        assert "modulus 3.142e+12, above 1257" in str(info.value)
 
     @pytest.mark.parametrize("eps", [6e-9, 8e-9])
     def test_straddling_pair_past_gap_tolerance_rejected(self, eps):
@@ -458,8 +483,8 @@ class TestLogm:
     )
     def test_rotated_straddling_chain_meets_contract_or_raises(self, size, delta):
         # eigenvalues alternate across the cut near -1, each coupled to the
-        # next with coupling/gap at most 1 / (2 delta) = 25, under the pair
-        # limit; the chain still grows the log like (coupling/gap)^(size-1)
+        # next with coupling/gap at most 1 / (2 delta) = 25; the chain
+        # grows the log like (coupling/gap)^(size-1)
         steps = np.array([(-1) ** k * (k // 2 + 1) for k in range(size)])
         t = np.diag(np.exp(1j * (math.pi + delta * steps))) + np.eye(size, k=1)
         q = np.linalg.qr(np.random.default_rng(0).standard_normal((size, size)))[0]
@@ -469,6 +494,21 @@ class TestLogm:
         except errors.IllConditionedError:
             return
         assert np.linalg.norm(expm(lg) - a) <= roundtrip_bound(a)
+
+    def test_straddling_sweep_meets_contract_or_raises(self):
+        # every input either meets the roundtrip contract or is refused
+        # by name; both sides of the branch-cut guard must be exercised
+        outcomes = {"met": 0, errors.IllConditionedError: 0, errors.NearSingularError: 0}
+        for a in straddling_inputs(300, 21):
+            try:
+                lg = logm(a)
+            except (errors.IllConditionedError, errors.NearSingularError) as err:
+                outcomes[type(err)] += 1
+                continue
+            assert np.linalg.norm(expm(lg) - a) <= roundtrip_bound(a)
+            outcomes["met"] += 1
+        assert outcomes["met"] >= 50
+        assert outcomes[errors.IllConditionedError] >= 50
 
     @pytest.mark.parametrize("scale", [1.0, 1e6, 1e12])
     def test_square_root_guard_is_scale_invariant(self, scale):
@@ -485,16 +525,6 @@ class TestLogm:
         bound = 1e-8 * np.linalg.norm(a) * max(1.0, kappa)
         assert np.linalg.norm(expm(lg) - a) <= bound
 
-    def test_square_root_guard_rejects_blown_up_root(self):
-        # the root's coupling entry 1 / (sqrt(l1) + sqrt(l2)) ~ 1.7e8 is past
-        # the entry limit, independently of the cluster guard in logm
-        eps = 6e-9
-        t = np.array(
-            [[-1.0 + eps * 1j, 1.0], [0.0, -1.0 - eps * 1j]], dtype=complex
-        )
-        with pytest.raises(errors.IllConditionedError):
-            matfuncs._sqrtm_triu(t)
-
     def test_square_root_matches_scipy_sqrtm_bit_for_bit(self):
         # _sqrtm_triu calls scipy's kernel directly; pin it to the public
         # function on triangular input, roots that blow up included
@@ -508,28 +538,24 @@ class TestLogm:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
                 ref = scipy.linalg.sqrtm(t)
-            try:
-                root = matfuncs._sqrtm_triu(t)
-            except errors.IllConditionedError:
-                magnitude = np.abs(ref)
-                limit = matfuncs.SQRT_ENTRY_LIMIT * magnitude.diagonal().max()
-                assert not magnitude.max() <= limit
-                continue
-            assert root.tobytes() == ref.tobytes()
+            assert matfuncs._sqrtm_triu(t).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-300, 5e-324])
     def test_blown_up_root_is_quiet(self, eps):
         # the straddling pair's root blows up (to inf at the smallest gap):
-        # an IllConditionedError, and no warning from scipy or numpy
+        # an IllConditionedError, and no warning from scipy or numpy, on the
+        # triangular input and on a rotation of it
         t = np.array(
             [[-1.0 + eps * 1j, 1.0, 0.5], [0.0, -1.0 - eps * 1j, 2.0], [0.0, 0.0, 3.0]],
             dtype=complex,
         )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(errors.IllConditionedError):
-                matfuncs._logm_triu(t)
-        assert caught == []
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+        for a in (t, q @ t @ q.T):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(errors.IllConditionedError):
+                    logm(a)
+            assert caught == []
 
     @pytest.mark.parametrize("other", [2.0, -1.0 + 1e-6j])
     def test_negative_zero_imaginary_part_on_principal_sheet(self, other):

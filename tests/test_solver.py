@@ -266,6 +266,23 @@ class TestSolveThreeLayer:
         with pytest.raises(errors.DimensionError):
             solver.eval_three_layer(w, np.eye(3))
 
+    @pytest.mark.parametrize("layer", ["w1", "w2", "w3"])
+    def test_eval_overflow_raises_without_warning(self, layer):
+        # an overflow in a product or an exponential of the forward map is
+        # an OverflowError, never NaN or infinite output
+        inst = admitted_instance(2, seed=3)
+        w = solver.solve_three_layer(inst)
+        big = dataclasses.replace(w, **{layer: linalg.cmatrix(np.full((2, 2), 1.7e308))})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                solver.eval_three_layer(big, inst.x1)
+
+    def test_eval_refuses_non_finite_input(self):
+        w = solver.solve_three_layer(admitted_instance(2, seed=88))
+        with pytest.raises(ValueError, match="finite"):
+            solver.eval_three_layer(w, np.array([[1.0, np.nan], [0.0, 1.0]]))
+
     def test_verify_dimension_mismatch(self):
         w = solver.solve_three_layer(admitted_instance(3, seed=88))
         with pytest.raises(errors.DimensionError):

@@ -2,11 +2,13 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "expnet"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SOURCE.glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -37,3 +39,62 @@ def test_the_check_sees_an_unused_import():
 def test_no_unused_module_level_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == [], f"{path.name}: unused imports (line, name)"
+
+
+def checked_definitions(tree: ast.Module) -> dict:
+    """The ``_private`` names and ``UPPER_CASE`` constants a module binds
+    at its top level, with their lines."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if re.fullmatch(r"_(?!_).*|[A-Z][A-Z0-9_]*", name):
+                found[name] = node.lineno
+    return found
+
+
+def read_names(tree: ast.Module) -> set:
+    """Names a module reads: loaded names, attributes, and the names it
+    imports from another module."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def dead_names(sources: dict) -> list:
+    """(module, line, name) of each checked definition in ``sources``
+    (module name -> text) that no module reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set().union(*(read_names(tree) for tree in trees.values()))
+    return sorted(
+        (module, line, name)
+        for module, tree in trees.items()
+        for name, line in checked_definitions(tree).items()
+        if name not in read
+    )
+
+
+def test_the_check_sees_a_dead_name():
+    sources = {
+        "a": "_used = 1\n_dead = 2\nLIMIT = 3\nSPARE, _pair = 4, 5\n"
+        "def _f():\n    return _used\nclass _C:\n    pass\n__version__ = '1'\n",
+        "b": "from .a import LIMIT\nimport a\nprint(a._f, a._pair)\n",
+    }
+    assert dead_names(sources) == [("a", 2, "_dead"), ("a", 4, "SPARE"), ("a", 7, "_C")]
+
+
+def test_no_dead_module_level_name():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert dead_names(sources) == [], "defined but never read (module, line, name)"
