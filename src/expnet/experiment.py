@@ -41,12 +41,12 @@ from .errors import (
     NearSingularError,
 )
 from .linalg import (
+    _lu_factor,
+    _lu_solve,
+    _require_rcond,
     frobenius,
     integer_value,
     inverse,
-    lu_factor,
-    lu_solve,
-    require_nonsingular,
     require_positive,
     save_json,
 )
@@ -69,8 +69,10 @@ DIVERGENCE_FACTOR = 10.0
 class Activation:
     """Entry-wise activation with its derivative, both vectorized.
 
-    ``derivative`` takes the activation's output ``s = apply(p)``, not
-    ``p``, and returns sigma'(p).
+    ``apply`` maps a float64 array of any shape to a float64 array of
+    that shape. ``derivative`` takes the activation's output
+    ``s = apply(p)``, not ``p``, and returns sigma'(p) as a new writable
+    float64 array: the descent scales it in place.
     """
 
     kind: str
@@ -125,12 +127,14 @@ def _as_real(a, what: str = "input") -> np.ndarray:
 
 
 def _real_quad(inst: ProblemInstance):
-    return (
-        _as_real(inst.x1, "x1"),
-        _as_real(inst.x2, "x2"),
-        _as_real(inst.y1, "y1"),
-        _as_real(inst.y2, "y2"),
-    )
+    """The instance over the reals as ``(XS, XT, Y1, Y2)``.
+
+    XS stacks X2 and X1 in one C-contiguous ``(2, d, d)`` array, so one
+    batched product gives both pre-activations; XT is its swapped-axes
+    view, the stack of X2^T and X1^T that the gradient multiplies by.
+    """
+    xs = np.stack((_as_real(inst.x2, "x2"), _as_real(inst.x1, "x1")))
+    return xs, xs.transpose(0, 2, 1), _as_real(inst.y1, "y1"), _as_real(inst.y2, "y2")
 
 
 def baseline_denominator(inst: ProblemInstance) -> float:
@@ -139,7 +143,7 @@ def baseline_denominator(inst: ProblemInstance) -> float:
     Raises InstanceRejectedError when this is exactly zero (the s-score
     would be undefined on such an instance).
     """
-    x1, x2, y1, y2 = _real_quad(inst)
+    (x2, x1), _, y1, y2 = _real_quad(inst)
     base = y1 - y2 @ (inverse(x2) @ x1)
     value = frobenius(base) ** 2
     if value == 0.0:
@@ -152,17 +156,21 @@ def baseline_denominator(inst: ProblemInstance) -> float:
 def _forward(w, quad, activation):
     """Forward pass at W: returns N(W) and the state the gradient needs.
 
-    The state is the tuple (S1, S2, LU of S2, M, R) with S_i = sigma(W X_i),
-    M = S2^-1 S1 and R = Y1 - Y2 M, in the order
-    :func:`_gradient_from_forward` unpacks it.
+    ``quad`` is :func:`_real_quad` of the instance. The state is the
+    tuple (S, LU, PIV, M, R), in the order :func:`_gradient_from_forward`
+    unpacks it: S = sigma(W XS) stacks S2 = sigma(W X2) and
+    S1 = sigma(W X1) from one batched product and one activation call,
+    LU and PIV are the packed LU factors of S2, M = S2^-1 S1 and
+    R = Y1 - Y2 M. Each slice of S has the bits of the 2-D product and
+    activation of its own X_i.
     """
-    x1, x2, y1, y2 = quad
-    s1 = activation.apply(w @ x1)
-    s2 = activation.apply(w @ x2)
-    factors = require_nonsingular(lu_factor(s2), ACTIVATION_RCOND_FLOOR, "sigma(W X2)")
-    m = lu_solve(factors, s1)
+    xs, _, y1, y2 = quad
+    s = activation.apply(w @ xs)
+    lu, piv, rcond = _lu_factor(s[0])
+    _require_rcond(rcond, ACTIVATION_RCOND_FLOOR, "sigma(W X2)")
+    m = _lu_solve(lu, piv, s[1], 0)
     r = y1 - y2 @ m
-    return float((r * r).sum()), (s1, s2, factors, m, r)
+    return float((r * r).sum()), (s, lu, piv, m, r)
 
 
 def two_layer_objective(w, inst: ProblemInstance, activation="sigmoid") -> float:
@@ -181,16 +189,19 @@ def _gradient_from_forward(state, quad, activation) -> np.ndarray:
         V = U M^T
         grad N = 2 [ (V . sigma'(P2)) X2^T - (U . sigma'(P1)) X1^T ]
 
-    where . is the entry-wise product.
+    where . is the entry-wise product. The derivative is taken once over
+    the stack S; its slices are scaled in place by V and by U, and one
+    batched product with the stack XT gives both terms, G[0] and G[1].
+    Every float operation is the one the two 2-D terms make.
     """
-    x1, x2, y1, y2 = quad
-    s1, s2, factors, m, r = state
-    u = lu_solve(factors, y2.T @ r, trans=1)
-    v = u @ m.T
-    return 2.0 * (
-        (v * activation.derivative(s2)) @ x2.T
-        - (u * activation.derivative(s1)) @ x1.T
-    )
+    _, xt, _, y2 = quad
+    s, lu, piv, m, r = state
+    u = _lu_solve(lu, piv, y2.T @ r, 1)
+    d = activation.derivative(s)
+    d[0] *= u @ m.T
+    d[1] *= u
+    g = d @ xt
+    return 2.0 * (g[0] - g[1])
 
 
 def two_layer_gradient(w, inst: ProblemInstance, activation="sigmoid") -> np.ndarray:
@@ -302,26 +313,32 @@ def _descend(w0, quad, denom, config: ExperimentConfig, activation) -> list:
     the step size scale-free across instances. The raw schedule W -= lr*g
     is unstable near the default lr and loses the dimension trend.
 
-    Raises FloatingPointError on any non-finite score or gradient and
-    NearSingularError when sigma(W X2) degenerates; the caller
-    resamples W and retries.
+    Raises FloatingPointError when a step overflows or goes invalid
+    (numpy raises it in place of a warning), when sigma(W X2) has a 1-norm
+    past float64 range, or when the score or the updated W is not finite,
+    and NearSingularError when sigma(W X2) degenerates; the caller
+    resamples W and retries. With a positive finite step, a finite W after
+    the update means a finite gradient.
     """
     step_size = config.effective_learning_rate / denom
     steps = config.steps
     w = np.array(w0, dtype=np.float64, copy=True)
     series = []
-    for step in range(steps + 1):
-        objective, state = _forward(w, quad, activation)
-        s = objective / denom
-        if not math.isfinite(s):
-            raise FloatingPointError(f"non-finite score at step {step}")
-        series.append(s)
-        if step == steps:
-            break
-        grad = _gradient_from_forward(state, quad, activation)
-        if not np.isfinite(grad).all():
-            raise FloatingPointError(f"non-finite gradient at step {step}")
-        w -= step_size * grad
+    with np.errstate(over="raise", invalid="raise"):
+        for step in range(steps + 1):
+            try:
+                objective, state = _forward(w, quad, activation)
+            except ValueError as exc:  # sigma(W X2) has a 1-norm past float64 range
+                raise FloatingPointError(f"sigma(W X2) overflows at step {step}") from exc
+            s = objective / denom
+            if not math.isfinite(s):
+                raise FloatingPointError(f"non-finite score at step {step}")
+            series.append(s)
+            if step == steps:
+                break
+            w -= step_size * _gradient_from_forward(state, quad, activation)
+            if not np.isfinite(w).all():
+                raise FloatingPointError(f"non-finite W after step {step}")
     return series
 
 

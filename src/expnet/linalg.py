@@ -178,14 +178,21 @@ def lu_factor(a: CMatrix) -> LuFactors:
     entry, or a 1-norm past float64 range, raises ValueError.
     """
     _check_square(a)
-    real = not np.iscomplexobj(a)
-    a = np.ascontiguousarray(a, dtype=np.float64 if real else np.complex128)
+    a = np.ascontiguousarray(a, dtype=np.complex128 if a.dtype.kind == "c" else np.float64)
     if a.size == 0:
         # getrf rejects n = 0 (and prints the complaint to stderr)
-        return LuFactors(lu=a.copy(), piv=np.zeros(0, dtype=np.int32), rcond=0.0)
+        return LuFactors(a.copy(), np.zeros(0, dtype=np.int32), 0.0)
+    return LuFactors(*_lu_factor(a))
+
+
+def _lu_factor(a: np.ndarray) -> tuple:
+    """``(lu, piv, rcond)`` of :func:`lu_factor` for a nonempty,
+    C-contiguous, square float64 or complex128 ``a``, which is not
+    checked: the LAPACK calls and the rcond rule alone, for a caller that
+    factors many such matrices."""
     lapack = _lapack(a.dtype)
     lu, piv, info = lapack.getrf(a)
-    if real:
+    if a.dtype.kind == "f":
         # ||a||_1 = ||a^T||_inf, and a.T is Fortran-ordered, so dlange
         # reads it without a copy; it sums each column in row order, as
         # numpy does, so the norm has the same bits
@@ -195,11 +202,11 @@ def lu_factor(a: CMatrix) -> LuFactors:
     if not math.isfinite(anorm):
         raise ValueError(f"matrix entries must be finite (no NaN/Inf); 1-norm {anorm}")
     if info > 0 or anorm == 0.0:
-        return LuFactors(lu=lu, piv=piv, rcond=0.0)
+        return lu, piv, 0.0
     rcond, info = lapack.gecon(lu, anorm)  # 1-norm estimate
     if info != 0:  # pragma: no cover - illegal-argument path
         raise ValueError(f"gecon failed with info={info}")
-    return LuFactors(lu=lu, piv=piv, rcond=float(rcond))
+    return lu, piv, float(rcond)
 
 
 def lu_solve(factors: LuFactors, b: np.ndarray, trans: int = 0) -> np.ndarray:
@@ -217,7 +224,13 @@ def lu_solve(factors: LuFactors, b: np.ndarray, trans: int = 0) -> np.ndarray:
         lu = lu.astype(np.result_type(lu, b), copy=False)
     if b.size == 0:  # getrs rejects n = 0
         return np.empty(b.shape, dtype=lu.dtype)
-    x, info = _lapack(lu.dtype).getrs(lu, factors.piv, b, trans)
+    return _lu_solve(lu, factors.piv, b, trans)
+
+
+def _lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    """:func:`lu_solve` from packed factors ``lu``, ``piv`` and a nonempty
+    ``b`` of the same field, which is not checked: getrs alone."""
+    x, info = _lapack(lu.dtype).getrs(lu, piv, b, trans)
     if info != 0:  # pragma: no cover - illegal-argument path
         raise ValueError(f"getrs failed with info={info}")
     return x
@@ -228,12 +241,16 @@ def require_nonsingular(
 ) -> LuFactors:
     """``factors``; NearSingularError naming ``what`` and carrying their
     rcond unless it is above ``floor``."""
-    if factors.rcond <= floor:
-        raise NearSingularError(
-            f"{what} is near-singular: rcond {factors.rcond:.3e} <= floor {floor:.3e}",
-            rcond=factors.rcond,
-        )
+    _require_rcond(factors.rcond, floor, what)
     return factors
+
+
+def _require_rcond(rcond: float, floor: float, what: str) -> None:
+    """:func:`require_nonsingular` on the rcond alone."""
+    if rcond <= floor:
+        raise NearSingularError(
+            f"{what} is near-singular: rcond {rcond:.3e} <= floor {floor:.3e}", rcond=rcond
+        )
 
 
 def inverse(a: CMatrix, factors: LuFactors | None = None) -> CMatrix:

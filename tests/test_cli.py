@@ -395,6 +395,22 @@ class TestExperimentCommand:
         assert run_cli(*args) == 0
         assert (workdir / "t.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("lr, code", [("1e307", 0), ("1e308", 3)])
+    def test_huge_learning_rate_prints_no_warning(self, workdir, lr, code):
+        # a child process with the default warning filters: an overflow
+        # warning would reach its stderr instead of failing the test
+        src = pathlib.Path(cli.__file__).parents[1]
+        out = subprocess.run(
+            [sys.executable, "-m", "expnet", "experiment", "--dim", "2", "--steps", "20",
+             "--seeds", "1..5", "--lr", lr, "--out", "t.csv"],
+            capture_output=True, text=True, cwd=workdir,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.returncode == code, out.stderr
+        assert "Warning" not in out.stderr
+        if code == 3:
+            assert out.stderr.startswith("error [MaxResampleError]: seed 5")
+
     def test_bad_seeds_exit_2(self, workdir):
         assert run_cli("experiment", "--dim", "3", "--seeds", "9..1") == 2
 

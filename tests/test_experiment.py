@@ -285,11 +285,11 @@ class TestRunExperiment:
         dtypes = []
 
         def recording_lu_factor(a):
-            factors = linalg.lu_factor(a)
-            dtypes.append(factors.lu.dtype)
+            factors = linalg._lu_factor(a)
+            dtypes.append(factors[0].dtype)
             return factors
 
-        monkeypatch.setattr(xp, "lu_factor", recording_lu_factor)
+        monkeypatch.setattr(xp, "_lu_factor", recording_lu_factor)
         xp.run_experiment(xp.ExperimentConfig(dim=3, steps=5, seeds=(1, 2)))
         assert dtypes and all(dtype == np.float64 for dtype in dtypes)
 
@@ -297,36 +297,44 @@ class TestRunExperiment:
     def test_traces_match_the_scipy_lu_route(self, monkeypatch, activation):
         # the LU layer calls LAPACK directly; the same routines reached
         # through scipy.linalg's wrappers must give byte-identical traces
+        calls = {"factor": 0, "solve": 0, "inverse": 0}
+
         def scipy_lu_factor(a):
+            calls["factor"] += 1
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
                 lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
             anorm = np.linalg.norm(a, 1)
             if anorm == 0.0 or np.any(np.diagonal(lu) == 0):
-                return linalg.LuFactors(lu=lu, piv=piv, rcond=0.0)
+                return lu, piv, 0.0
             gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
             rcond, _ = gecon(lu, anorm, norm="1")
-            return linalg.LuFactors(lu=lu, piv=piv, rcond=float(rcond))
+            return lu, piv, float(rcond)
 
-        def scipy_lu_solve(factors, b, trans=0):
-            return scipy.linalg.lu_solve((factors.lu, factors.piv), b, trans=trans)
+        def scipy_lu_solve(lu, piv, b, trans):
+            calls["solve"] += 1
+            return scipy.linalg.lu_solve((lu, piv), b, trans=trans)
 
         def scipy_inverse(a):
-            return scipy_lu_solve(scipy_lu_factor(a), np.eye(a.shape[0]))
+            calls["inverse"] += 1
+            lu, piv, _ = scipy_lu_factor(a)
+            return scipy_lu_solve(lu, piv, np.eye(a.shape[0]), 0)
 
         cfg = xp.ExperimentConfig(dim=4, activation=activation, steps=40, seeds=(1, 2, 3))
         direct = xp.run_experiment(cfg)
-        monkeypatch.setattr(xp, "lu_factor", scipy_lu_factor)
-        monkeypatch.setattr(xp, "lu_solve", scipy_lu_solve)
+        monkeypatch.setattr(xp, "_lu_factor", scipy_lu_factor)
+        monkeypatch.setattr(xp, "_lu_solve", scipy_lu_solve)
         monkeypatch.setattr(xp, "inverse", scipy_inverse)
         reference = xp.run_experiment(cfg)
+        # a descent that bypassed the stand-ins would compare with itself
+        assert all(calls.values()), calls
         for got, ref in zip(direct.runs, reference.runs):
             got_bytes = np.asarray(got.s_values).tobytes()
             assert got_bytes == np.asarray(ref.s_values).tobytes()
             assert got.w_resamples == ref.w_resamples
 
     @pytest.mark.parametrize("activation", ["sigmoid", "relu", "identity"])
-    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
     def test_trace_matches_the_pinned_step(self, activation, dim):
         # the step as written before the descent was trimmed, kept verbatim
         # on linalg.lu_factor and lu_solve and stepped here by hand: every
@@ -413,7 +421,7 @@ class TestRunExperiment:
             )
 
     def test_one_factor_and_two_solves_per_step(self, monkeypatch):
-        calls = {"lu_factor": 0, "lu_solve": 0}
+        calls = {"_lu_factor": 0, "_lu_solve": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -422,12 +430,12 @@ class TestRunExperiment:
 
             return wrapper
 
-        monkeypatch.setattr(xp, "lu_factor", counted("lu_factor", linalg.lu_factor))
-        monkeypatch.setattr(xp, "lu_solve", counted("lu_solve", linalg.lu_solve))
+        monkeypatch.setattr(xp, "_lu_factor", counted("_lu_factor", linalg._lu_factor))
+        monkeypatch.setattr(xp, "_lu_solve", counted("_lu_solve", linalg._lu_solve))
         steps = 25
         run = xp.run_experiment(xp.ExperimentConfig(dim=4, steps=steps, seeds=(1,))).runs[0]
         assert run.w_resamples == 0
-        assert calls == {"lu_factor": steps + 1, "lu_solve": 2 * steps + 1}
+        assert calls == {"_lu_factor": steps + 1, "_lu_solve": 2 * steps + 1}
 
     def test_fd_mode_tracks_analytic(self):
         # a reference descent stepped with the finite-difference gradient,
@@ -461,6 +469,28 @@ class TestRunExperiment:
         assert any(r.diverged for r in trace.runs) or all(
             r.final_s <= xp.DIVERGENCE_FACTOR * r.initial_s for r in trace.runs
         )
+
+    @pytest.mark.parametrize(
+        "activation, dim, seeds",
+        [("sigmoid", 2, (2, 4, 5)), ("relu", 3, tuple(range(1, 9)))],
+    )
+    def test_overflowing_starts_are_resampled(self, activation, dim, seeds):
+        # at this rate the first update overflows on most starts, and
+        # relu's sigma(W X2) can reach a 1-norm past float64 range; each
+        # such start is a failed one, with no warning (the suite runs with
+        # warnings as errors) and no ValueError escaping
+        cfg = xp.ExperimentConfig(
+            dim=dim, activation=activation, steps=20, seeds=seeds, learning_rate=1e307
+        )
+        trace = xp.run_experiment(cfg)
+        assert sum(run.w_resamples for run in trace.runs) > 0
+        for run in trace.runs:
+            assert all(math.isfinite(s) for s in run.s_values)
+
+    def test_overflow_on_every_start_exhausts_the_resamples(self):
+        cfg = xp.ExperimentConfig(dim=2, steps=20, seeds=(5,), learning_rate=1e308)
+        with pytest.raises(errors.MaxResampleError):
+            xp.run_experiment(cfg)
 
     def test_resample_exhaustion(self, monkeypatch):
         # an admission rule that refuses every draw starves the sampler

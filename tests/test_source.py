@@ -98,3 +98,64 @@ def test_the_check_sees_a_dead_name():
 def test_no_dead_module_level_name():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert dead_names(sources) == [], "defined but never read (module, line, name)"
+
+
+def lapack_lookups(tree: ast.Module) -> list:
+    """Lines that name ``get_lapack_funcs``, as a name, an attribute or an
+    imported name."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "get_lapack_funcs":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "get_lapack_funcs":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if any(alias.name == "get_lapack_funcs" for alias in node.names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def scipy_linalg_imports(tree: ast.Module) -> list:
+    """Lines that import ``scipy.linalg``, one of its submodules, or a name
+    from them."""
+
+    def in_linalg(module: str) -> bool:
+        return module == "scipy.linalg" or module.startswith("scipy.linalg.")
+
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(in_linalg(alias.name) for alias in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            from_scipy = node.module == "scipy" and any(a.name == "linalg" for a in node.names)
+            if from_scipy or in_linalg(node.module):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_checks_see_a_second_lu():
+    tree = ast.parse(
+        "import scipy.linalg\nfrom scipy.linalg import lu_factor\nfrom scipy import linalg\n"
+        "from scipy.linalg.lapack import get_lapack_funcs\n"
+        "scipy.linalg.get_lapack_funcs(('getrf',))\nimport scipy.special\n"
+        "from scipy import special\nimport numpy.linalg\n"
+    )
+    assert scipy_linalg_imports(tree) == [1, 2, 3, 4]
+    assert lapack_lookups(tree) == [4, 5]
+
+
+# one LU implementation: the LAPACK handles are looked up in linalg alone,
+# and the descent reaches LU only through linalg
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "linalg.py"], ids=lambda p: p.name
+)
+def test_lapack_handles_are_looked_up_in_linalg_only(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert lapack_lookups(tree) == [], f"{path.name}: get_lapack_funcs (lines)"
+
+
+def test_experiment_imports_nothing_from_scipy_linalg():
+    path = SOURCE / "experiment.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert scipy_linalg_imports(tree) == [], "experiment.py: scipy.linalg imports (lines)"
