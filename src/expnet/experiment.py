@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     ComplexInputError,
+    DimensionError,
     InstanceRejectedError,
     MaxResampleError,
     NearSingularError,
@@ -47,6 +47,7 @@ from .linalg import (
     frobenius,
     integer_value,
     inverse,
+    require_finite,
     require_positive,
     save_json,
 )
@@ -80,6 +81,20 @@ class Activation:
     derivative: Callable[[np.ndarray], np.ndarray]
 
 
+def _first_sigmoid(p):
+    """SIGMOID's ``apply`` until its first call, which imports
+    ``scipy.special`` and binds its ``expit`` in place of this function.
+
+    So ``import expnet`` and every command but a sigmoid experiment skip
+    that import, which costs more than the rest of the package; later
+    calls run ``expit`` itself, with no frame of this function.
+    """
+    from scipy.special import expit
+
+    object.__setattr__(SIGMOID, "apply", expit)
+    return expit(p)
+
+
 # Each derivative is written in terms of the activation's output
 # s = apply(p), which the forward pass already holds. relu'(0) = 0 by
 # convention (s > 0 exactly when p > 0).
@@ -90,7 +105,7 @@ RELU = Activation(
 )
 SIGMOID = Activation(
     "sigmoid",
-    expit,
+    _first_sigmoid,
     lambda s: s * (1.0 - s),
 )
 IDENTITY = Activation(
@@ -173,10 +188,51 @@ def _forward(w, quad, activation):
     return float((r * r).sum()), (s, lu, piv, m, r)
 
 
-def two_layer_objective(w, inst: ProblemInstance, activation="sigmoid") -> float:
-    """N(W) = ||Y1 - Y2 sigma(W X2)^-1 sigma(W X1)||_F^2."""
+def _public_pass(w, inst: ProblemInstance, activation, gradient: bool):
+    """N(W), or its gradient when ``gradient`` is true, for the public calls.
+
+    The pass runs under the descent's ``np.errstate(over="raise",
+    invalid="raise")``, so numpy prints no warning. W must be finite and
+    of the instance's shape, and the instance is finite, so a
+    FloatingPointError, a sigma(W X2) whose 1-norm is past float64 range
+    (ValueError from the LU) and a non-finite result are each an overflow.
+    """
     activation = get_activation(activation)
-    return _forward(_as_real(w, "w"), _real_quad(inst), activation)[0]
+    w = _as_real(w, "w")
+    quad = _real_quad(inst)
+    if w.shape != quad[2].shape:
+        raise DimensionError(f"dimension mismatch: w {w.shape} vs instance {quad[2].shape}")
+    require_finite(w, "w")
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            objective, state = _forward(w, quad, activation)
+            out = _gradient_from_forward(state, quad, activation) if gradient else objective
+        except (FloatingPointError, ValueError) as exc:
+            raise OverflowError(f"entries overflowed in the two-layer pass: {exc}") from exc
+    if not np.isfinite(out).all():
+        raise OverflowError("entries overflowed in the two-layer pass")
+    return out
+
+
+def two_layer_objective(w, inst: ProblemInstance, activation="sigmoid") -> float:
+    """N(W) = ||Y1 - Y2 sigma(W X2)^-1 sigma(W X1)||_F^2.
+
+    Raises
+    ------
+    ValueError
+        If an entry of ``w`` is NaN or infinite.
+    DimensionError
+        If ``w`` and the instance differ in shape.
+    ComplexInputError
+        If ``w`` or the instance has a nonnegligible imaginary part.
+    NearSingularError
+        If sigma(W X2) is near-singular.
+    OverflowError
+        If an entry overflows or goes invalid anywhere in the pass,
+        including a sigma(W X2) whose 1-norm is past float64 range; numpy
+        prints no warning.
+    """
+    return _public_pass(w, inst, activation, gradient=False)
 
 
 def _gradient_from_forward(state, quad, activation) -> np.ndarray:
@@ -205,12 +261,12 @@ def _gradient_from_forward(state, quad, activation) -> np.ndarray:
 
 
 def two_layer_gradient(w, inst: ProblemInstance, activation="sigmoid") -> np.ndarray:
-    """Analytic gradient of the unnormalized objective N at W."""
-    activation = get_activation(activation)
-    w = _as_real(w, "w")
-    quad = _real_quad(inst)
-    state = _forward(w, quad, activation)[1]
-    return _gradient_from_forward(state, quad, activation)
+    """Analytic gradient of the unnormalized objective N at W.
+
+    Raises what :func:`two_layer_objective` raises, and OverflowError
+    also for an overflow in the gradient pass.
+    """
+    return _public_pass(w, inst, activation, gradient=True)
 
 
 @dataclass(frozen=True)

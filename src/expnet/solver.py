@@ -436,6 +436,13 @@ def report_to_json(report: SolveReport) -> dict:
 
 
 def save_weights(path, weights: ThreeLayerWeights) -> None:
+    """Write a weights JSON file.
+
+    A non-finite matrix raises ValueError before the file is opened, as
+    :func:`load_weights` would refuse what it wrote.
+    """
+    for name in _WEIGHT_FIELDS[1:]:
+        require_finite(getattr(weights, name), f"weights {name}")
     save_json(path, weights_to_json(weights))
 
 

@@ -29,6 +29,36 @@ def test_module_entry_point():
     assert "usage" in out.stdout
 
 
+COLD_START = """
+import sys
+import expnet, expnet.cli
+from expnet import cli, experiment
+seen = ["scipy.special" in sys.modules]
+assert cli.run(["gen", "--dim", "3", "--seed", "1", "--out", "inst"]) == 0
+assert cli.run(["solve", "--instance", "inst"]) == 0
+assert cli.run(["experiment", "--dim", "2", "--activation", "relu", "--steps", "2",
+                "--seeds", "1", "--out", "relu.csv"]) == 0
+seen.append("scipy.special" in sys.modules)
+experiment.run_experiment(experiment.ExperimentConfig(dim=2, steps=2, seeds=(1,)))
+seen.append("scipy.special" in sys.modules)
+print(seen)
+"""
+
+
+def test_only_the_sigmoid_loads_scipy_special(tmp_path):
+    # a fresh process: importing expnet and running the interpolation
+    # commands and a relu experiment leave scipy.special unloaded, and the
+    # first sigmoid call loads it
+    src = pathlib.Path(cli.__file__).parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_START],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[False, False, True]"
+
+
 def readme_commands():
     """argv of every ``expnet`` line in README's "Command line" block."""
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()

@@ -29,9 +29,21 @@ class TestActivations:
         )
 
     def test_sigmoid_matches_formula(self):
+        # the sigmoid is scipy's expit, bit for bit
+        from scipy.special import expit
+
+        p = np.array([0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0, np.inf, -np.inf])
+        expected = expit(p)
+        # back to the state before the first call, which binds expit itself
+        object.__setattr__(xp.SIGMOID, "apply", xp._first_sigmoid)
+        first = xp.SIGMOID.apply(p)
+        assert xp.SIGMOID.apply is expit
+        for got in (first, xp.SIGMOID.apply(p), xp.SIGMOID.apply(p[::-1])[::-1]):
+            assert_array_equal(got, expected, strict=True)
+            assert got.tobytes() == expected.tobytes()
+
         p = np.linspace(-30, 30, 13).reshape(1, -1)
         expected = 1.0 / (1.0 + np.exp(-p))
-        assert_allclose(xp.SIGMOID.apply(p), expected, rtol=1e-12)
         assert_allclose(
             xp.SIGMOID.derivative(xp.SIGMOID.apply(p)),
             expected * (1 - expected),
@@ -113,6 +125,56 @@ class TestScore:
         inst = solver.random_instance(3, seed=4)  # complex entries
         with pytest.raises(errors.ComplexInputError):
             xp.two_layer_objective(np.eye(3), inst, "sigmoid")
+
+
+PUBLIC_PASSES = [xp.two_layer_objective, xp.two_layer_gradient]
+
+
+class TestPublicPassOverflow:
+    # an overflow anywhere in the public objective or gradient is an
+    # OverflowError, and numpy prints no warning (each call runs with
+    # warnings as errors)
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu", "identity"])
+    @pytest.mark.parametrize("public_pass", PUBLIC_PASSES, ids=lambda f: f.__name__)
+    def test_overflowing_products_raise(self, public_pass, activation):
+        inst = real_instance(3, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                public_pass(np.full((3, 3), 1e308), inst, activation)
+
+    @pytest.mark.parametrize("public_pass", PUBLIC_PASSES, ids=lambda f: f.__name__)
+    def test_a_norm_past_float64_range_raises(self, public_pass):
+        # W X2 itself is finite, but its 1-norm is past float64 range
+        inst = real_instance(3, seed=1)
+        w = (1e308 / np.abs(inst.x2.real).max()) * np.eye(3)
+        assert np.isfinite(w @ inst.x2.real).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as info:
+                public_pass(w, inst, "identity")
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_an_overflow_in_the_gradient_pass_alone_raises(self):
+        base = real_instance(3, seed=1)
+        big = 3e152
+        inst = solver.make_instance(base.x1, base.x2, big * base.y1, big * base.y2)
+        w = np.random.default_rng(0).normal(0, 0.6, (3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(xp.two_layer_objective(w, inst, "sigmoid"))
+            with pytest.raises(OverflowError):
+                xp.two_layer_gradient(w, inst, "sigmoid")
+
+    @pytest.mark.parametrize("public_pass", PUBLIC_PASSES, ids=lambda f: f.__name__)
+    def test_bad_w_is_refused_before_the_pass(self, public_pass):
+        inst = real_instance(3, seed=1)
+        w = np.eye(3)
+        w[1, 2] = np.inf
+        with pytest.raises(ValueError, match="w entries must be finite"):
+            public_pass(w, inst, "sigmoid")
+        with pytest.raises(errors.DimensionError):
+            public_pass(np.eye(2), inst, "sigmoid")
 
 
 class TestGradient:

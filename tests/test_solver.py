@@ -414,6 +414,19 @@ class TestSerialization:
             assert_array_equal(getattr(again, name), getattr(w, name))
         assert again.alpha == w.alpha
 
+    @pytest.mark.parametrize("name", ["w1", "w2", "w3", "z"])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_weights_are_not_written(self, tmp_path, name, bad):
+        # the type accepts such a matrix, but load_weights would refuse
+        # the file, so no file is written
+        w = solver.solve_three_layer(admitted_instance(2, seed=12))
+        entries = np.array(getattr(w, name))
+        entries[0, 1] = bad
+        path = tmp_path / "w.json"
+        with pytest.raises(ValueError, match=f"weights {name} entries must be finite"):
+            solver.save_weights(path, dataclasses.replace(w, **{name: entries}))
+        assert not path.exists()
+
     def test_a_reloaded_weights_file_is_kept_frozen_and_read_only(self, tmp_path, decodes):
         path = tmp_path / "w.json"
         solver.save_weights(path, solver.solve_three_layer(admitted_instance(2, seed=7)))

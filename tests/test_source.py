@@ -115,23 +115,50 @@ def lapack_lookups(tree: ast.Module) -> list:
     return sorted(lines)
 
 
+def imports_of(nodes, package: str) -> list:
+    """Lines among ``nodes`` that import ``package`` (a dotted name), one
+    of its submodules, or a name from them."""
+    parent, _, leaf = package.rpartition(".")
+
+    def inside(module: str) -> bool:
+        return module == package or module.startswith(package + ".")
+
+    lines = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            if any(inside(alias.name) for alias in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            from_parent = node.module == parent and any(a.name == leaf for a in node.names)
+            if from_parent or inside(node.module):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
 def scipy_linalg_imports(tree: ast.Module) -> list:
     """Lines that import ``scipy.linalg``, one of its submodules, or a name
     from them."""
+    return imports_of(ast.walk(tree), "scipy.linalg")
 
-    def in_linalg(module: str) -> bool:
-        return module == "scipy.linalg" or module.startswith("scipy.linalg.")
 
-    lines = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            if any(in_linalg(alias.name) for alias in node.names):
-                lines.add(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            from_scipy = node.module == "scipy" and any(a.name == "linalg" for a in node.names)
-            if from_scipy or in_linalg(node.module):
-                lines.add(node.lineno)
-    return sorted(lines)
+def import_time_nodes(tree: ast.Module):
+    """The nodes that run when the module is imported: all but the bodies
+    of functions and lambdas."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(
+            child
+            for child in ast.iter_child_nodes(node)
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        )
+
+
+def import_time_special_imports(tree: ast.Module) -> list:
+    """Lines that import ``scipy.special``, or a name from it, when the
+    module is imported."""
+    return imports_of(import_time_nodes(tree), "scipy.special")
 
 
 def test_the_checks_see_a_second_lu():
@@ -143,6 +170,26 @@ def test_the_checks_see_a_second_lu():
     )
     assert scipy_linalg_imports(tree) == [1, 2, 3, 4]
     assert lapack_lookups(tree) == [4, 5]
+
+
+def test_the_check_sees_an_import_time_special():
+    tree = ast.parse(
+        "import scipy.special\nfrom scipy import linalg, special\n"
+        "from scipy.special import expit\nimport scipy.special.cython_special as cs\n"
+        "import scipy.linalg\nfrom scipy import specialty\n"
+        "try:\n    import scipy.special as sp\nexcept ImportError:\n    pass\n"
+        "class C:\n    from scipy.special import logit\n"
+        "def f():\n    from scipy.special import expit\n    return expit\n"
+    )
+    assert import_time_special_imports(tree) == [1, 2, 3, 4, 8, 12]
+
+
+# a fresh ``import expnet`` does not load scipy.special: only the sigmoid
+# needs it, and imports it on its first call
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_scipy_special_is_not_imported_with_the_module(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert import_time_special_imports(tree) == [], f"{path.name}: scipy.special (lines)"
 
 
 # one LU implementation: the LAPACK handles are looked up in linalg alone,
