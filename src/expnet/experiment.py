@@ -43,11 +43,11 @@ from .errors import (
 from .linalg import (
     _lu_factor,
     _lu_solve,
-    _require_rcond,
     frobenius,
     integer_value,
     inverse,
     require_finite,
+    require_nonsingular,
     require_positive,
     save_json,
 )
@@ -182,7 +182,7 @@ def _forward(w, quad, activation):
     xs, _, y1, y2 = quad
     s = activation.apply(w @ xs)
     lu, piv, rcond = _lu_factor(s[0])
-    _require_rcond(rcond, ACTIVATION_RCOND_FLOOR, "sigma(W X2)")
+    require_nonsingular(rcond, ACTIVATION_RCOND_FLOOR, "sigma(W X2)")
     m = _lu_solve(lu, piv, s[1], 0)
     r = y1 - y2 @ m
     return float((r * r).sum()), (s, lu, piv, m, r)

@@ -132,9 +132,10 @@ def _check_square(a: np.ndarray) -> None:
         raise DimensionError(f"matrix must be square 2-D, got shape {a.shape}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LuFactors:
-    """Partial-pivoted LU factorization with a condition estimate.
+    """Partial-pivoted LU factorization with a condition estimate; equality
+    and hash go by identity.
 
     Attributes
     ----------
@@ -177,6 +178,7 @@ def lu_factor(a: CMatrix) -> LuFactors:
     bit-equal to numpy's, and the rconds would move. A NaN or infinite
     entry, or a 1-norm past float64 range, raises ValueError.
     """
+    a = np.asarray(a)
     _check_square(a)
     a = np.ascontiguousarray(a, dtype=np.complex128 if a.dtype.kind == "c" else np.float64)
     if a.size == 0:
@@ -212,7 +214,8 @@ def _lu_factor(a: np.ndarray) -> tuple:
 def lu_solve(factors: LuFactors, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """Solve ``A x = b`` from :func:`lu_factor` output.
 
-    ``b`` is one vector or a 2-D block of columns. ``trans=1`` solves
+    ``b`` is one vector or a 2-D block of columns whose length is the
+    order of the factors, else DimensionError. ``trans=1`` solves
     ``A^T x = b`` instead; ``trans=2`` the conjugate transpose (LAPACK
     convention). LAPACK getrs runs directly from the handle cached for
     the field of the factors and ``b`` together: the solution is real
@@ -220,6 +223,10 @@ def lu_solve(factors: LuFactors, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """
     lu = factors.lu
     b = np.asarray(b)
+    if b.shape[:1] != lu.shape[:1] or b.ndim > 2:
+        raise DimensionError(
+            f"right-hand side of shape {b.shape} does not fit factors of order {lu.shape[0]}"
+        )
     if b.dtype != lu.dtype:
         lu = lu.astype(np.result_type(lu, b), copy=False)
     if b.size == 0:  # getrs rejects n = 0
@@ -237,16 +244,10 @@ def _lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray, trans: int) -> np.
 
 
 def require_nonsingular(
-    factors: LuFactors, floor: float = SINGULAR_RCOND, what: str = "matrix"
-) -> LuFactors:
-    """``factors``; NearSingularError naming ``what`` and carrying their
-    rcond unless it is above ``floor``."""
-    _require_rcond(factors.rcond, floor, what)
-    return factors
-
-
-def _require_rcond(rcond: float, floor: float, what: str) -> None:
-    """:func:`require_nonsingular` on the rcond alone."""
+    rcond: float, floor: float = SINGULAR_RCOND, what: str = "matrix"
+) -> None:
+    """NearSingularError naming ``what`` and carrying ``rcond`` unless it
+    is above ``floor``: the one rcond check of the package."""
     if rcond <= floor:
         raise NearSingularError(
             f"{what} is near-singular: rcond {rcond:.3e} <= floor {floor:.3e}", rcond=rcond
@@ -259,7 +260,7 @@ def inverse(a: CMatrix, factors: LuFactors | None = None) -> CMatrix:
     ``factors`` is :func:`lu_factor` of ``a`` when the caller already
     holds it (a :class:`~expnet.solver.ProblemInstance` keeps those of
     its matrices); the inverse is then solved from them, bit-equal to
-    ``inverse(a)``, and ``a`` only gives the order. The inverse has the
+    ``inverse(a)``, and ``a`` is not read. The inverse has the
     input's field (see :func:`lu_factor`).
     Residual behavior: measured over random well-conditioned inputs the
     multiply-back error satisfies ``||a @ inverse(a) - I||_F <= c * d *
@@ -272,21 +273,25 @@ def inverse(a: CMatrix, factors: LuFactors | None = None) -> CMatrix:
     """
     if factors is None:
         factors = lu_factor(a)
-    require_nonsingular(factors)
-    return lu_solve(factors, np.eye(a.shape[0], dtype=factors.lu.dtype))
+    require_nonsingular(factors.rcond)
+    return lu_solve(factors, np.eye(factors.lu.shape[0], dtype=factors.lu.dtype))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchurForm:
     """Complex Schur decomposition ``A = Q T Q^H``.
 
-    ``q`` is unitary, ``t`` upper triangular with the eigenvalues on its
-    diagonal, and ``eigenvalues`` lists them in diagonal order.
+    ``q`` is unitary and ``t`` upper triangular with the eigenvalues on
+    its diagonal. Equality and hash go by identity.
     """
 
     q: np.ndarray
     t: np.ndarray
-    eigenvalues: np.ndarray
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The diagonal of ``t``, as a read-only view."""
+        return np.diagonal(self.t)
 
 
 def _no_sort(*_):  # pragma: no cover - zgees calls it only when sorting
@@ -302,8 +307,8 @@ def schur_decompose(a: CMatrix) -> SchurForm:
     entries, and :class:`ConvergenceError` if the QR iteration hits the
     backend sweep cap (about 30 sweeps per eigenvalue) without deflating.
     """
-    _check_square(a)
     a = np.ascontiguousarray(a, dtype=np.complex128)
+    _check_square(a)
     require_finite(a)
     if a.size == 0:  # zgees rejects n = 0
         t = q = np.empty((0, 0), dtype=np.complex128)
@@ -313,7 +318,7 @@ def schur_decompose(a: CMatrix) -> SchurForm:
             raise ConvergenceError(f"QR iteration did not converge (zgees info={info})")
         if info < 0:  # pragma: no cover - illegal-argument path
             raise ValueError(f"zgees failed with info={info}")
-    return SchurForm(q=q, t=t, eigenvalues=np.diagonal(t).copy())
+    return SchurForm(q=q, t=t)
 
 
 def gaussian_entries(rng: np.random.Generator, dim: int, kind: str) -> np.ndarray:
@@ -342,8 +347,8 @@ def gaussian_entries(rng: np.random.Generator, dim: int, kind: str) -> np.ndarra
 
 def matrix_to_json(a: CMatrix) -> dict:
     """Encode a matrix as the shared JSON object."""
-    _check_square(a)
     a = np.asarray(a, dtype=np.complex128)
+    _check_square(a)
     return {"dim": a.shape[0], "entries": np.stack((a.real, a.imag), axis=-1).tolist()}
 
 

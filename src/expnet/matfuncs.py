@@ -37,10 +37,8 @@ from .errors import (
 )
 from .linalg import (
     CMatrix,
-    SchurForm,
     _check_square,
     _lapack,
-    frobenius,
     integer_value,
     lu_factor,
     one_norm,
@@ -97,8 +95,8 @@ def expm(a: CMatrix) -> CMatrix:
         If ``||a||_1 > 1e8``, or if entries overflow during the repeated
         squaring (e^||a|| beyond float range).
     """
-    _check_square(a)
     a = np.asarray(a, dtype=np.complex128)
+    _check_square(a)
     # one pass guards both contracts: the 1-norm is finite exactly when
     # every entry is, so the finiteness scan only runs on refusal
     anorm = float(one_norm(a))
@@ -244,28 +242,6 @@ def _logm_triu(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigenvector_condition_estimate(form: SchurForm) -> float:
-    """Cheap conditioning proxy kappa used in the logm accuracy contract.
-
-    kappa = max(1, ||strict upper of T||_F / g) where g is the smallest
-    pairwise eigenvalue gap, clamped below at eps * max|eigenvalue|.
-    Normal matrices give 1; defective clusters blow up, voiding the
-    roundtrip bound (the computation itself still proceeds).
-    """
-    eig = form.eigenvalues
-    offdiag = frobenius(np.triu(form.t, 1))
-    if len(eig) < 2 or offdiag == 0.0:
-        return 1.0
-    diff = eig[:, None] - eig[None, :]
-    # rounds like scalar abs(); np.abs of a complex array can differ in
-    # the last bit
-    gaps = np.hypot(diff.real, diff.imag)
-    np.fill_diagonal(gaps, np.inf)
-    floor = np.finfo(float).eps * max(abs(eig).max(), 1e-300)
-    gap = max(float(gaps.min()), floor)
-    return max(1.0, offdiag / gap)
-
-
 def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
     """Matrix logarithm on the requested branch.
 
@@ -276,8 +252,11 @@ def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
     integral float counts as an integer.
 
     Accuracy contract: ``||expm(logm(a)) - a||_F <= 1e-8 * ||a||_F *
-    max(1, kappa)`` with kappa from
-    :func:`eigenvector_condition_estimate` of the Schur form.
+    kappa`` with kappa = max(1, ||strict upper of T||_F / g), T the
+    triangular factor of the Schur form of ``a`` and g the smallest
+    pairwise gap of its eigenvalues, floored at eps * max|eigenvalue|.
+    Normal matrices give kappa = 1; defective clusters blow it up, voiding
+    the bound (the computation itself still proceeds).
 
     Raises
     ------
@@ -300,10 +279,11 @@ def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
     branch = integer_value(branch, "branch must be an integer")
     a = np.asarray(a, dtype=np.complex128)
     # lu_factor refuses a non-square or non-finite matrix
-    factors = require_nonsingular(lu_factor(a))
+    rcond = lu_factor(a).rcond
+    require_nonsingular(rcond)
     form = schur_decompose(a)
     if np.any(form.eigenvalues == 0):
-        raise NearSingularError("zero eigenvalue; no logarithm exists", factors.rcond)
+        raise NearSingularError("zero eigenvalue; no logarithm exists", rcond)
     log_t = _logm_triu(form.t)
     magnitude = np.abs(log_t)
     # written so that a NaN from an overflowed root fails the test

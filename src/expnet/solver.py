@@ -91,33 +91,37 @@ _IDENTITY_CHECKS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """Data/label quadruple (X1, X2, Y1, Y2) with conditioning metadata.
 
-    ``rconds`` holds the 1-norm reciprocal-condition estimates of the
-    four matrices and of X1 - X2; an instance is *admitted* when all five
-    clear the threshold: ``ADMISSION_RCOND`` for the solver, the
-    experiment's ``ACTIVATION_RCOND_FLOOR`` for its real draws.
-    ``factors`` holds the :class:`~expnet.linalg.LuFactors` behind those
-    estimates, under the same keys, so that :func:`solve_three_layer`
-    and :func:`verify` invert Y1 and X1 - X2 without factoring them
-    again. It is derived data: it takes no part in repr or equality.
+    ``factors`` holds the :class:`~expnet.linalg.LuFactors` of the four
+    matrices and of X1 - X2, under the keys ``x1``, ``x2``, ``y1``, ``y2``
+    and ``x1_minus_x2``, so that :func:`solve_three_layer` and
+    :func:`verify` invert Y1 and X1 - X2 without factoring them again. It
+    is derived data and stays out of repr. An instance is *admitted* when
+    all five rconds clear the threshold: ``ADMISSION_RCOND`` for the
+    solver, the experiment's ``ACTIVATION_RCOND_FLOOR`` for its real
+    draws. Equality and hash go by identity.
     """
 
     x1: CMatrix
     x2: CMatrix
     y1: CMatrix
     y2: CMatrix
-    rconds: dict = field(repr=False)
-    factors: dict = field(repr=False, compare=False)
+    factors: dict = field(repr=False)
 
     @property
     def dim(self) -> int:
         return self.x1.shape[0]
 
+    @property
+    def rconds(self) -> dict:
+        """The 1-norm reciprocal-condition estimates of the factors, by key."""
+        return {k: self.factors[k].rcond for k in _RCOND_KEYS}
+
     def admitted(self, threshold: float = ADMISSION_RCOND) -> bool:
-        return all(self.rconds[k] > threshold for k in _RCOND_KEYS)
+        return all(self.factors[k].rcond > threshold for k in _RCOND_KEYS)
 
 
 def make_instance(x1, x2, y1, y2) -> ProblemInstance:
@@ -128,8 +132,7 @@ def make_instance(x1, x2, y1, y2) -> ProblemInstance:
         raise DimensionError(f"instance matrices disagree on dimension: {sorted(dims)}")
     matrices = (x1, x2, y1, y2, x1 - x2)
     factors = {key: lu_factor(m) for key, m in zip(_RCOND_KEYS, matrices)}
-    rconds = {key: f.rcond for key, f in factors.items()}
-    return ProblemInstance(x1=x1, x2=x2, y1=y1, y2=y2, rconds=rconds, factors=factors)
+    return ProblemInstance(x1=x1, x2=x2, y1=y1, y2=y2, factors=factors)
 
 
 def draw_instance(rng: np.random.Generator, dim: int, kind: str) -> ProblemInstance:
@@ -164,14 +167,15 @@ def random_instance(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThreeLayerWeights:
     """Closed-form solution record (W1, W2, W3, alpha, Z).
 
     Z = logm(Y1^-1 Y2) + ln(alpha) I for the instance it was built from,
     so expm(Z) = alpha * Y1^-1 Y2. alpha is positive and finite with
     |alpha - 1| >= MIN_ALPHA_GAP (else ValueError), and the four matrices
-    share one shape (else :class:`DimensionError`).
+    share one shape (else :class:`DimensionError`). Equality and hash go
+    by identity.
     """
 
     w1: CMatrix
@@ -274,6 +278,7 @@ def eval_three_layer(
         If an entry overflows in a product or an exponential: the output
         would hold NaN or infinite entries.
     """
+    x = np.asarray(x)
     if x.shape != weights.w1.shape:
         raise DimensionError(f"dimension mismatch: {x.shape} vs {weights.w1.shape}")
     # with x finite, any non-finite entry below is an overflow
@@ -368,7 +373,8 @@ def verify(
             checks["commutant_form"] = _ratio(norm(c - closed), norm(c))
             checks["difference_rcond"] = lu_factor(e2 - e1).rcond
             ez = expm(z)
-            quotient = lu_solve(require_nonsingular(inst.factors["y1"]), inst.y2)
+            require_nonsingular(inst.factors["y1"].rcond)
+            quotient = lu_solve(inst.factors["y1"], inst.y2)
             checks["z_definition"] = _ratio(norm(ez - alpha * quotient), norm(ez))
         # failures of expm, lu_factor and the singular floor; checks not reached stay inf
         except (OverflowError, ValueError, NearSingularError):
@@ -462,7 +468,7 @@ def save_instance(directory, inst: ProblemInstance, manifest_extra: dict | None 
         files[name] = fname
     manifest = {
         "dim": inst.dim,
-        "rconds": dict(inst.rconds),
+        "rconds": inst.rconds,
         "files": files,
     }
     if manifest_extra:

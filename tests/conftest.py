@@ -113,6 +113,20 @@ def jordan_block_log(lam, m):
     return out
 
 
+def eigenvector_condition_estimate(form):
+    """kappa of logm's accuracy contract from a Schur form, by a pair loop:
+    max(1, ||strict upper of T||_F / g), with g the smallest pairwise
+    eigenvalue gap floored at eps * max|eigenvalue|."""
+    eig = form.eigenvalues
+    dim = len(eig)
+    offdiag = float(np.linalg.norm(np.triu(form.t, 1)))
+    if dim < 2 or offdiag == 0.0:
+        return 1.0
+    gaps = [abs(eig[i] - eig[j]) for i in range(dim) for j in range(i + 1, dim)]
+    floor = np.finfo(float).eps * max(abs(eig).max(), 1e-300)
+    return max(1.0, offdiag / max(min(gaps), floor))
+
+
 def check_commuting_product(a, b):
     """Relative defect ``||expm(a) expm(b) - expm(a + b)||_F / ||expm(a + b)||_F``.
 

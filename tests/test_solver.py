@@ -33,9 +33,23 @@ class TestInstances:
             fresh = linalg.lu_factor(matrix)
             assert inst.factors[key].lu.tobytes() == fresh.lu.tobytes()
             assert inst.factors[key].rcond == inst.rconds[key] == fresh.rcond
-        # derived data: left out of repr and equality
+        # derived data: left out of repr, and the rconds are read from it
         assert "factors" not in repr(inst)
-        assert inst == dataclasses.replace(inst, factors={})
+        assert all(inst.rconds[k] == inst.factors[k].rcond for k in inst.factors)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: solver.random_instance(3, 1),
+            lambda: solver.solve_three_layer(solver.random_instance(3, 1)),
+            lambda: linalg.lu_factor(np.eye(3)),
+            lambda: linalg.schur_decompose(np.eye(3) + 0j),
+        ],
+        ids=["instance", "weights", "lu", "schur"],
+    )
+    def test_array_records_compare_and_hash_by_identity(self, make):
+        a, b = make(), make()
+        assert a == a and a != b and len({a, b, a}) == 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(errors.DimensionError):
@@ -287,6 +301,25 @@ class TestSolveThreeLayer:
         w = solver.solve_three_layer(admitted_instance(3, seed=88))
         with pytest.raises(errors.DimensionError):
             solver.verify(w, admitted_instance(2, seed=88))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        linalg.lu_factor,
+        linalg.inverse,
+        linalg.schur_decompose,
+        linalg.matrix_to_json,
+        matfuncs.expm,
+        lambda x: solver.eval_three_layer(solver.solve_three_layer(admitted_instance(2, 88)), x),
+    ],
+    ids=["lu_factor", "inverse", "schur_decompose", "matrix_to_json", "expm", "eval_three_layer"],
+)
+def test_public_calls_take_a_nested_list(call):
+    # the input is converted before its shape is checked
+    assert repr(call([[1, 0], [0, 1]])) == repr(call(np.eye(2)))
+    with pytest.raises(errors.DimensionError):
+        call([[1, 0, 0]])
 
 
 class TestVerifyRobustness:

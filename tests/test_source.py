@@ -42,8 +42,10 @@ def test_no_unused_module_level_import(path):
 
 
 def checked_definitions(tree: ast.Module) -> dict:
-    """The ``_private`` names and ``UPPER_CASE`` constants a module binds
-    at its top level, with their lines."""
+    """The names a module binds at its top level by a definition or an
+    assignment, ``__dunder__`` names aside, with their lines. Methods are
+    left out: a name check cannot tell a dead method from a live one of
+    the same name on another class."""
     found = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -54,7 +56,7 @@ def checked_definitions(tree: ast.Module) -> dict:
         else:
             continue
         for name in names:
-            if re.fullmatch(r"_(?!_).*|[A-Z][A-Z0-9_]*", name):
+            if not re.fullmatch(r"__.*__", name):
                 found[name] = node.lineno
     return found
 
@@ -75,7 +77,8 @@ def read_names(tree: ast.Module) -> set:
 
 def dead_names(sources: dict) -> list:
     """(module, line, name) of each checked definition in ``sources``
-    (module name -> text) that no module reads."""
+    (module name -> text) that no module reads; a name the package
+    ``__init__`` imports, to export it, counts as read."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     read = set().union(*(read_names(tree) for tree in trees.values()))
     return sorted(
@@ -93,6 +96,17 @@ def test_the_check_sees_a_dead_name():
         "b": "from .a import LIMIT\nimport a\nprint(a._f, a._pair)\n",
     }
     assert dead_names(sources) == [("a", 2, "_dead"), ("a", 4, "SPARE"), ("a", 7, "_C")]
+
+
+def test_the_check_sees_a_dead_public_name():
+    sources = {
+        "a": "def used():\n    pass\ndef exported():\n    pass\ndef spare():\n    pass\n"
+        "class Spare:\n    def unread(self):\n        pass\nlimit = used\n",
+        "__init__": "from .a import exported\n",
+        "b": "from . import a\na.used()\n",
+    }
+    # methods are out of scope: Spare.unread is not reported
+    assert dead_names(sources) == [("a", 5, "spare"), ("a", 7, "Spare"), ("a", 10, "limit")]
 
 
 def test_no_dead_module_level_name():
