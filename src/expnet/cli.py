@@ -36,7 +36,7 @@ from .errors import (
     MaxResampleError,
     NearSingularError,
 )
-from .linalg import GAUSSIAN_KINDS, frobenius, load_matrix, save_json, save_matrix
+from .linalg import GAUSSIAN_KINDS, load_matrix, save_json, save_matrix
 from .matfuncs import PRINCIPAL, expm, logm
 
 
@@ -146,7 +146,7 @@ def cmd_logm(args) -> int:
     out = _matfun_out(args, "logm")
     save_matrix(out, lg)
     # logm refuses a zero matrix, so the norm of a is positive
-    roundtrip = frobenius(expm(lg) - a) / frobenius(a)
+    roundtrip = np.linalg.norm(expm(lg) - a) / np.linalg.norm(a)
     print(f"wrote {out}")
     print(f"roundtrip residual: {roundtrip:.6e}")
     return 0

@@ -43,7 +43,6 @@ from .errors import (
 from .linalg import (
     _lu_factor,
     _lu_solve,
-    frobenius,
     integer_value,
     inverse,
     require_finite,
@@ -117,12 +116,11 @@ IDENTITY = Activation(
 ACTIVATIONS = {a.kind: a for a in (RELU, SIGMOID, IDENTITY)}
 
 
-def get_activation(name) -> Activation:
-    if isinstance(name, Activation):
-        return name
+def get_activation(name: str) -> Activation:
+    """The activation of ``ACTIVATIONS`` named ``name``, else ValueError."""
     try:
         return ACTIVATIONS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(
             f"unknown activation {name!r}; choices: {sorted(ACTIVATIONS)}"
         ) from None
@@ -160,7 +158,7 @@ def baseline_denominator(inst: ProblemInstance) -> float:
     """
     (x2, x1), _, y1, y2 = _real_quad(inst)
     base = y1 - y2 @ (inverse(x2) @ x1)
-    value = frobenius(base) ** 2
+    value = float(np.linalg.norm(base)) ** 2
     if value == 0.0:
         raise InstanceRejectedError(
             "baseline objective is exactly zero; s-score undefined"
@@ -209,9 +207,7 @@ def _public_pass(w, inst: ProblemInstance, activation, gradient: bool):
             out = _gradient_from_forward(state, quad, activation) if gradient else objective
         except (FloatingPointError, ValueError) as exc:
             raise OverflowError(f"entries overflowed in the two-layer pass: {exc}") from exc
-    if not np.isfinite(out).all():
-        raise OverflowError("entries overflowed in the two-layer pass")
-    return out
+    return require_finite(out, "two-layer pass", OverflowError)
 
 
 def two_layer_objective(w, inst: ProblemInstance, activation="sigmoid") -> float:
@@ -277,8 +273,8 @@ class ExperimentConfig:
     ``ACTIVATION_RCOND_FLOOR``. ``dim`` must be an integer of at least 1,
     ``steps`` and each seed nonnegative integers: an integral float
     becomes an int, and a bool, a non-integral or a too-small value raises
-    ValueError naming the field. ``activation`` is a name or an
-    :class:`Activation`, and is stored as its name.
+    ValueError naming the field. ``activation`` is a name in
+    ``ACTIVATIONS``, else ValueError.
     """
 
     dim: int
@@ -294,14 +290,13 @@ class ExperimentConfig:
             raise ValueError("seeds must be non-empty")
         if self.learning_rate is not None:
             require_positive(self.learning_rate, "learning_rate")
-        activation = get_activation(self.activation).kind
+        get_activation(self.activation)
         seeds = tuple(
             integer_value(s, "seeds must be nonnegative integers", 0) for s in self.seeds
         )
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "activation", activation)
 
     @property
     def effective_learning_rate(self) -> float:
@@ -334,10 +329,6 @@ class SeedRun:
 class ExperimentTrace:
     config: ExperimentConfig
     runs: tuple = field(default=())
-
-    @property
-    def final_s(self) -> tuple:
-        return tuple(run.final_s for run in self.runs)
 
     def median_initial(self) -> float:
         return statistics.median(run.initial_s for run in self.runs)
@@ -393,8 +384,7 @@ def _descend(w0, quad, denom, config: ExperimentConfig, activation) -> list:
             if step == steps:
                 break
             w -= step_size * _gradient_from_forward(state, quad, activation)
-            if not np.isfinite(w).all():
-                raise FloatingPointError(f"non-finite W after step {step}")
+            require_finite(w, "W after a step", FloatingPointError)
     return series
 
 

@@ -77,10 +77,12 @@ def cmatrix(entries) -> CMatrix:
     return a
 
 
-def require_finite(a: np.ndarray, what: str = "matrix", error: type = ValueError) -> None:
-    """Raise ``error`` unless every entry of ``a``, real or complex, is finite."""
+def require_finite(a: np.ndarray, what: str = "matrix", error: type = ValueError) -> np.ndarray:
+    """``a``, unless an entry, real or complex, is NaN or infinite: then
+    ``error`` naming ``what``. The package's one finiteness test."""
     if not np.isfinite(a).all():
         raise error(f"{what} entries must be finite (no NaN/Inf)")
+    return a
 
 
 def one_norm(a: np.ndarray) -> float:
@@ -90,21 +92,6 @@ def one_norm(a: np.ndarray) -> float:
     is finite exactly when every entry is and the sum does not overflow.
     """
     return np.abs(a).sum(axis=0).max(initial=0.0)
-
-
-def frobenius(a: np.ndarray) -> float:
-    """The Frobenius norm of a float or complex array, the same bits as
-    ``np.linalg.norm(a)``.
-
-    numpy's own route for that norm (flatten in memory order, then the
-    dot products of the real and imaginary parts, then the root) without
-    its dispatch on ``ord`` and ``axis``.
-    """
-    flat = np.asarray(a).ravel(order="K")
-    if np.iscomplexobj(flat):
-        re, im = flat.real, flat.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(flat.dot(flat))
 
 
 def require_positive(value: float, what: str) -> None:

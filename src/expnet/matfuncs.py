@@ -111,9 +111,7 @@ def expm(a: CMatrix) -> CMatrix:
             result = _expm_dense(a)
         else:
             result = scipy.linalg.expm(a)
-    if not np.isfinite(result).all():
-        raise OverflowError("entries overflowed during repeated squaring")
-    return result
+    return require_finite(result, "exponential after repeated squaring", OverflowError)
 
 
 def _expm_dense(a: np.ndarray) -> np.ndarray:

@@ -40,7 +40,6 @@ from .errors import (
 from .linalg import (
     CMatrix,
     cmatrix,
-    frobenius,
     gaussian_entries,
     integer_value,
     inverse,
@@ -254,8 +253,10 @@ def solve_three_layer(
     ln_alpha = math.log(alpha)
     z = log_m + ln_alpha * np.eye(inst.dim, dtype=np.complex128)
     w1 = ln_alpha * inverse(inst.x1 - inst.x2, inst.factors["x1_minus_x2"])
-    w2 = log_m @ expm(-(w1 @ inst.x2)) / (1.0 - alpha)
-    w3 = np.asarray(inst.y1) @ expm((alpha / (alpha - 1.0)) * log_m)
+    # an entry that overflows is refused by the loop below, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = log_m @ expm(-(w1 @ inst.x2)) / (1.0 - alpha)
+        w3 = np.asarray(inst.y1) @ expm((alpha / (alpha - 1.0)) * log_m)
     for name, w in (("w1", w1), ("w2", w2), ("w3", w3)):
         require_finite(w, f"constructed {name}", OverflowError)
     return ThreeLayerWeights(w1=w1, w2=w2, w3=w3, alpha=alpha, z=z)
@@ -271,32 +272,33 @@ def eval_three_layer(
     Raises
     ------
     DimensionError
-        If ``x`` and the weights differ in shape.
+        If ``x`` or ``inner`` and the weights differ in shape.
     ValueError
-        If an entry of ``x`` is NaN or infinite.
+        If an entry of ``x`` or ``inner`` is NaN or infinite.
     OverflowError
         If an entry overflows in a product or an exponential: the output
         would hold NaN or infinite entries.
     """
     x = np.asarray(x)
-    if x.shape != weights.w1.shape:
-        raise DimensionError(f"dimension mismatch: {x.shape} vs {weights.w1.shape}")
-    # with x finite, any non-finite entry below is an overflow
-    require_finite(x)
+    operands = {"x": x}
+    if inner is not None:
+        inner = operands["inner"] = np.asarray(inner)
+    for name, m in operands.items():
+        if m.shape != weights.w1.shape:
+            raise DimensionError(f"dimension mismatch: {name} {m.shape} vs {weights.w1.shape}")
+        # with the operands finite, any non-finite entry below is an overflow
+        require_finite(m, name)
     with np.errstate(over="ignore", invalid="ignore"):
         if inner is None:
-            inner = expm(_no_overflow(weights.w1 @ x))
-        return _no_overflow(weights.w3 @ expm(_no_overflow(weights.w2 @ inner)))
+            inner = expm(require_finite(weights.w1 @ x, "W1 x", OverflowError))
+        outer = expm(require_finite(weights.w2 @ inner, "W2 expm(W1 x)", OverflowError))
+        return require_finite(weights.w3 @ outer, "f(x)", OverflowError)
 
 
-def _no_overflow(product: np.ndarray) -> np.ndarray:
-    """``product`` of finite factors; OverflowError if an entry overflowed."""
-    if not np.isfinite(product).all():
-        raise OverflowError("entries overflowed in the forward map")
-    return product
-
-
-def _ratio(num: float, den: float) -> float:
+def _relative(diff: np.ndarray, ref: np.ndarray) -> float:
+    """||diff||_F / ||ref||_F as a float; 0 when both norms are 0, inf
+    when only the second is."""
+    num, den = float(np.linalg.norm(diff)), float(np.linalg.norm(ref))
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return num / den
@@ -346,7 +348,6 @@ def verify(
             f"dimension mismatch: weights are {weights.dim} x {weights.dim}, "
             f"instance is {inst.dim} x {inst.dim}"
         )
-    norm = frobenius
     alpha, z = weights.alpha, weights.z
     e1 = _expm_or_none(weights.w1 @ inst.x1)
     e2 = _expm_or_none(weights.w1 @ inst.x2)
@@ -358,7 +359,7 @@ def verify(
             out = eval_three_layer(weights, x, inner)
         except OverflowError:
             return math.inf
-        return _ratio(norm(out - y), norm(y))
+        return _relative(out - y, y)
 
     residual1 = residual_against(inst.x1, e1, inst.y1)
     residual2 = residual_against(inst.x2, e2, inst.y2)
@@ -366,16 +367,16 @@ def verify(
     checks = dict.fromkeys(_IDENTITY_CHECKS, math.inf)
     if e1 is not None and e2 is not None:
         try:
-            checks["scale_identity"] = _ratio(norm(e1 - alpha * e2), norm(e1))
+            checks["scale_identity"] = _relative(e1 - alpha * e2, e1)
             c = weights.w2 @ e1
             eye = np.eye(weights.dim, dtype=np.complex128)
             closed = (alpha / (1.0 - alpha)) * (z - math.log(alpha) * eye)
-            checks["commutant_form"] = _ratio(norm(c - closed), norm(c))
+            checks["commutant_form"] = _relative(c - closed, c)
             checks["difference_rcond"] = lu_factor(e2 - e1).rcond
             ez = expm(z)
             require_nonsingular(inst.factors["y1"].rcond)
             quotient = lu_solve(inst.factors["y1"], inst.y2)
-            checks["z_definition"] = _ratio(norm(ez - alpha * quotient), norm(ez))
+            checks["z_definition"] = _relative(ez - alpha * quotient, ez)
         # failures of expm, lu_factor and the singular floor; checks not reached stay inf
         except (OverflowError, ValueError, NearSingularError):
             pass

@@ -214,6 +214,14 @@ class TestSolveVerifyEval:
         assert "error [OverflowError]" in capsys.readouterr().err
         assert not (workdir / "fx.json").exists()
 
+    def test_overflowing_solve_exit_5_without_warning(self, workdir, capsys):
+        run_cli("gen", "--dim", "4", "--seed", "1", "--out", "inst")
+        capsys.readouterr()
+        assert run_cli("solve", "--instance", "inst", "--alpha", "1e286") == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error [OverflowError]") and err.count("\n") == 1
+        assert not (workdir / "inst/weights.json").exists()
+
     def test_missing_instance_exit_4(self, workdir):
         assert run_cli("solve", "--instance", "nowhere") == 4
 

@@ -1,5 +1,4 @@
 import json
-import math
 import sys
 import tempfile
 import threading
@@ -258,8 +257,6 @@ class TestSchur:
             form = linalg.schur_decompose(a)
             ref = eigenvalues_reference(a)
             assert matched_distance(form.eigenvalues, ref) < 1e-8
-            assert_allclose(form.eigenvalues, np.diag(form.t))
-
 
     def test_matches_scipy_schur(self):
         rng = np.random.default_rng(41)
@@ -272,7 +269,6 @@ class TestSchur:
                 form = linalg.schur_decompose(a)
                 assert form.t.tobytes() == t.tobytes()
                 assert form.q.tobytes() == q.tobytes()
-                assert form.eigenvalues.tobytes() == np.diagonal(t).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
     def test_non_finite_input_raises(self, bad):
@@ -286,28 +282,6 @@ class TestSchur:
         assert form.t.shape == form.q.shape == (0, 0)
         assert form.eigenvalues.shape == (0,)
         assert capfd.readouterr() == ("", "")
-
-
-class TestFrobenius:
-    def test_matches_numpy_norm_bit_for_bit(self):
-        rng = np.random.default_rng(18)
-        for dim in range(0, 41):
-            for scale in (1e-150, 1.0, 1e150):
-                real = scale * rng.standard_normal((dim, 2 * dim + 1))
-                cplx = real + 1j * scale * rng.standard_normal(real.shape)
-                for a in (real, cplx):
-                    for view in (a, a[:, ::2], a[::2, 1::3], a.T, np.asfortranarray(a)):
-                        got = linalg.frobenius(view)
-                        assert type(got) is float
-                        want = np.linalg.norm(view)
-                        assert np.float64(got).tobytes() == want.tobytes(), (dim, view.strides)
-
-    def test_non_finite_entries(self):
-        a = np.eye(3, dtype=np.complex128)
-        a[0, 1] = complex(np.inf, 1.0)
-        assert linalg.frobenius(a) == math.inf
-        a[0, 1] = complex(1.0, np.nan)
-        assert math.isnan(linalg.frobenius(a))
 
 
 class TestSampling:

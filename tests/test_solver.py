@@ -279,6 +279,9 @@ class TestSolveThreeLayer:
         w = solver.solve_three_layer(inst)
         with pytest.raises(errors.DimensionError):
             solver.eval_three_layer(w, np.eye(3))
+        # expm(W1 x), when the caller passes it, gets the same check
+        with pytest.raises(errors.DimensionError, match="inner"):
+            solver.eval_three_layer(w, inst.x1, np.eye(3))
 
     @pytest.mark.parametrize("layer", ["w1", "w2", "w3"])
     def test_eval_overflow_raises_without_warning(self, layer):
@@ -293,9 +296,22 @@ class TestSolveThreeLayer:
                 solver.eval_three_layer(big, inst.x1)
 
     def test_eval_refuses_non_finite_input(self):
-        w = solver.solve_three_layer(admitted_instance(2, seed=88))
+        inst = admitted_instance(2, seed=88)
+        w = solver.solve_three_layer(inst)
+        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ValueError, match="finite"):
-            solver.eval_three_layer(w, np.array([[1.0, np.nan], [0.0, 1.0]]))
+            solver.eval_three_layer(w, bad)
+        with pytest.raises(ValueError, match="inner"):
+            solver.eval_three_layer(w, inst.x1, bad)
+
+    def test_overflowing_weights_raise_without_warning(self):
+        # W2's product overflows at this alpha: the finite check refuses
+        # it, and numpy prints nothing first
+        inst = admitted_instance(4, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="w2"):
+                solver.solve_three_layer(inst, alpha=1e286)
 
     def test_verify_dimension_mismatch(self):
         w = solver.solve_three_layer(admitted_instance(3, seed=88))

@@ -129,6 +129,26 @@ def lapack_lookups(tree: ast.Module) -> list:
     return sorted(lines)
 
 
+def isfinite_uses(tree: ast.Module, allowed=None) -> list:
+    """Lines that name numpy's ``isfinite`` (an ``isfinite`` attribute of
+    anything but ``math``, or the name imported from numpy), outside the
+    function named ``allowed``."""
+    lines = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == allowed:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "isfinite":
+            if not (isinstance(node.value, ast.Name) and node.value.id == "math"):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            if any(alias.name == "isfinite" for alias in node.names):
+                lines.add(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
 def imports_of(nodes, package: str) -> list:
     """Lines among ``nodes`` that import ``package`` (a dotted name), one
     of its submodules, or a name from them."""
@@ -214,6 +234,26 @@ def test_scipy_special_is_not_imported_with_the_module(path):
 def test_lapack_handles_are_looked_up_in_linalg_only(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert lapack_lookups(tree) == [], f"{path.name}: get_lapack_funcs (lines)"
+
+
+def test_the_check_sees_a_second_finite_test():
+    tree = ast.parse(
+        "import math\nimport numpy\nfrom numpy import isfinite\n"
+        "def require_finite(a):\n    return numpy.isfinite(a).all()\n"
+        "def f(a, x):\n    return np.isfinite(a).all() and math.isfinite(x)\n"
+        "g = lambda a: isfinite(a)\nh = numpy.core.umath.isfinite\n"
+    )
+    assert isfinite_uses(tree, "require_finite") == [3, 7, 9]
+    assert isfinite_uses(tree) == [3, 5, 7, 9]
+
+
+# one finiteness rule: numpy's isfinite runs in linalg.require_finite alone,
+# and every other array check calls that function
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_isfinite_is_called_in_require_finite_only(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = "require_finite" if path.name == "linalg.py" else None
+    assert isfinite_uses(tree, allowed) == [], f"{path.name}: np.isfinite (lines)"
 
 
 def test_experiment_imports_nothing_from_scipy_linalg():
