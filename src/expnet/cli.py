@@ -76,10 +76,6 @@ def _report_exit_code(report: solver.SolveReport) -> int:
     return 5
 
 
-def _instance_dir(path) -> str:
-    return path if os.path.isdir(path) else os.path.dirname(os.path.abspath(path))
-
-
 def cmd_gen(args) -> int:
     inst = solver.random_instance(args.dim, args.seed, kind=args.kind)
     out = args.out or f"instance-d{args.dim}-s{args.seed}"
@@ -98,7 +94,7 @@ def cmd_solve(args) -> int:
         inst, alpha=args.alpha, branch=args.branch_offset
     )
     report = solver.verify(weights, inst, tol=args.tol)
-    base = _instance_dir(args.instance)
+    base = solver._instance_dir(args.instance)
     weights_path = args.weights_out or os.path.join(base, "weights.json")
     report_path = args.report_out or os.path.join(base, "report.json")
     solver.save_weights(weights_path, weights)
@@ -206,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "solve", help="construct three-layer weights for an instance and verify"
     )
-    p.add_argument("--instance", required=True, help="instance directory or manifest")
+    p.add_argument("--instance", required=True, help="instance directory (or a file in it)")
     p.add_argument(
         "--alpha",
         type=float,
@@ -230,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="verify stored weights against an instance")
-    p.add_argument("--instance", required=True, help="instance directory or manifest")
+    p.add_argument("--instance", required=True, help="instance directory (or a file in it)")
     p.add_argument("--weights", required=True, help="weights JSON path")
     p.add_argument(
         "--tol", type=float, default=solver.DEFAULT_TOLERANCE,

@@ -273,8 +273,8 @@ class ExperimentConfig:
     ``ACTIVATION_RCOND_FLOOR``. ``dim`` must be an integer of at least 1,
     ``steps`` and each seed nonnegative integers: an integral float
     becomes an int, and a bool, a non-integral or a too-small value raises
-    ValueError naming the field. ``activation`` is a name in
-    ``ACTIVATIONS``, else ValueError.
+    ValueError naming the field, and so does a repeated seed.
+    ``activation`` is a name in ``ACTIVATIONS``, else ValueError.
     """
 
     dim: int
@@ -294,6 +294,9 @@ class ExperimentConfig:
         seeds = tuple(
             integer_value(s, "seeds must be nonnegative integers", 0) for s in self.seeds
         )
+        if len(set(seeds)) < len(seeds):
+            repeated = next(s for i, s in enumerate(seeds) if s in seeds[:i])
+            raise ValueError(f"seeds must be distinct, got {repeated} more than once")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "seeds", seeds)

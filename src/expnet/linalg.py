@@ -355,6 +355,8 @@ def matrix_from_json(obj: dict) -> CMatrix:
         raise MatrixFormatError(f"matrix JSON 'dim' must be an integer, got {dim!r}")
     try:
         pairs = np.asarray(obj["entries"])
+        if dim == 0 and pairs.shape == (0,):  # [] is the 0 x 0 matrix
+            pairs = pairs.reshape(0, 0, 2)
     except ValueError:  # ragged nesting
         pairs = None
     if pairs is None or pairs.shape != (dim, dim, 2) or pairs.dtype.kind not in "iuf":
@@ -402,11 +404,6 @@ def read_text(path) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MatrixFormatError(f"{path} is not UTF-8 text: {exc}") from None
-
-
-def load_json(path):
-    """Read one JSON document from a UTF-8 file."""
-    return json.loads(read_text(path))
 
 
 # -- decoded files, reused within a process ----------------------------------

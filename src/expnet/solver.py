@@ -44,7 +44,6 @@ from .linalg import (
     integer_value,
     inverse,
     load_decoded,
-    load_json,
     load_matrix,
     lu_factor,
     lu_solve,
@@ -460,50 +459,30 @@ def load_weights(path) -> ThreeLayerWeights:
 
 
 def save_instance(directory, inst: ProblemInstance, manifest_extra: dict | None = None):
-    """Write x1/x2/y1/y2 JSON files plus an instance.json manifest."""
+    """Write x1/x2/y1/y2 JSON files into ``directory`` and return the path of
+    its ``instance.json``: ``dim``, the rconds and ``manifest_extra`` (gen's
+    seed and kind), a record for people that :func:`load_instance` ignores."""
     os.makedirs(directory, exist_ok=True)
-    files = {}
     for name in _INSTANCE_FILES:
-        fname = f"{name}.json"
-        save_matrix(os.path.join(directory, fname), getattr(inst, name))
-        files[name] = fname
-    manifest = {
-        "dim": inst.dim,
-        "rconds": inst.rconds,
-        "files": files,
-    }
-    if manifest_extra:
-        manifest.update(manifest_extra)
+        save_matrix(os.path.join(directory, f"{name}.json"), getattr(inst, name))
     manifest_path = os.path.join(directory, "instance.json")
+    manifest = {"dim": inst.dim, "rconds": inst.rconds, **(manifest_extra or {})}
     save_json(manifest_path, manifest, indent=2)
     return manifest_path
 
 
+def _instance_dir(path) -> str:
+    os.stat(path)  # a missing path raises, rather than naming its parent directory
+    return path if os.path.isdir(path) else os.path.dirname(os.path.abspath(path))
+
+
 def load_instance(path) -> ProblemInstance:
-    """Read an instance from its manifest (or a directory containing one).
+    """Read x1.json, x2.json, y1.json and y2.json from an instance directory,
+    given as the directory or any file in it (``instance.json`` is not read).
 
-    Conditioning estimates are recomputed from the matrices on load; the
-    manifest's recorded values are informational.
-
-    Raises
-    ------
-    MatrixFormatError
-        Unless the manifest is an object whose ``files`` maps each of
-        x1, x2, y1 and y2 to a file name, or a matrix file is malformed.
+    Conditioning estimates are recomputed from the matrices. A malformed
+    matrix file raises MatrixFormatError.
     """
-    if os.path.isdir(path):
-        path = os.path.join(path, "instance.json")
-    manifest = load_json(path)
-    files = manifest.get("files") if isinstance(manifest, dict) else None
-    if not isinstance(files, dict) or not all(
-        isinstance(files.get(name), str) for name in _INSTANCE_FILES
-    ):
-        raise MatrixFormatError(
-            "instance manifest must be an object whose 'files' maps "
-            f"{', '.join(_INSTANCE_FILES)} to file names"
-        )
-    base = os.path.dirname(os.path.abspath(path))
-    x1, x2, y1, y2 = (
-        load_matrix(os.path.join(base, files[name])) for name in _INSTANCE_FILES
-    )
-    return make_instance(x1, x2, y1, y2)
+    base = _instance_dir(path)
+    matrices = (load_matrix(os.path.join(base, f"{n}.json")) for n in _INSTANCE_FILES)
+    return make_instance(*matrices)

@@ -170,6 +170,39 @@ class TestSolveVerifyEval:
         assert run_cli("solve", "--instance", "inst", "--tol", "inf") == 2
         assert "tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "record", [None, b"garbage", b"\xff\xfe{\x00"], ids=["absent", "garbage", "not-utf8"]
+    )
+    def test_instance_json_is_not_read(self, workdir, record):
+        # an instance is its directory's four matrix files
+        run_cli("gen", "--dim", "3", "--seed", "2", "--out", "inst")
+        expected = solver.load_instance("inst")
+        manifest = workdir / "inst/instance.json"
+        if record is None:
+            manifest.unlink()
+        else:
+            manifest.write_bytes(record)
+        for path in ("inst", "inst/x2.json") + (() if record is None else ("inst/instance.json",)):
+            got = solver.load_instance(path)
+            for name in ("x1", "x2", "y1", "y2"):
+                assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+
+    def test_solve_writes_beside_the_instance_given_either_way(self, workdir, capsys):
+        run_cli("gen", "--dim", "3", "--seed", "2", "--out", "inst")
+        (workdir / "inst/instance.json").write_text("garbage")
+        capsys.readouterr()
+        written = []
+        for instance in ("inst", "inst/instance.json"):
+            assert run_cli("solve", "--instance", instance) == 0
+            lines = capsys.readouterr().out.splitlines()
+            paths = [os.path.realpath(l[len("wrote "):]) for l in lines if l.startswith("wrote ")]
+            written.append([(p, pathlib.Path(p).read_bytes()) for p in paths])
+        inst = os.path.realpath(workdir / "inst")
+        assert [p for p, _ in written[0]] == [
+            os.path.join(inst, "weights.json"), os.path.join(inst, "report.json")
+        ]
+        assert written[0] == written[1]
+
     def test_identical_data_points_exit_3(self, workdir):
         x = random_matrix(3, seed=1)
         inst = solver.make_instance(
@@ -222,8 +255,13 @@ class TestSolveVerifyEval:
         assert err.startswith("error [OverflowError]") and err.count("\n") == 1
         assert not (workdir / "inst/weights.json").exists()
 
-    def test_missing_instance_exit_4(self, workdir):
+    def test_missing_instance_exit_4(self, workdir, capsys):
         assert run_cli("solve", "--instance", "nowhere") == 4
+        # a missing path is an error, even when its parent directory holds an instance
+        assert run_cli("gen", "--dim", "2", "--seed", "3", "--out", ".") == 0
+        assert run_cli("solve", "--instance", "nowhere") == 4
+        assert "nowhere" in capsys.readouterr().err
+        assert not (workdir / "weights.json").exists()
 
     def test_verify_dimension_mismatch_exit_4(self, workdir, capsys):
         run_cli("gen", "--dim", "2", "--seed", "3", "--out", "d2")
@@ -356,30 +394,12 @@ class TestMatrixFunctions:
         assert f"error [{error}]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "manifest",
-        [
-            [1],
-            {"dim": 2},
-            {"files": 5},
-            {"files": {"x1": 5}},
-            {"files": {"x1": "x1.json", "x2": "x2.json", "y1": "y1.json"}},
-            {"files": {"x1": "x1.json", "x2": "x2.json", "y1": "y1.json", "y2": ["y2.json"]}},
-        ],
-        ids=["list", "no-files", "scalar-files", "number-name", "no-y2", "list-name"],
-    )
-    def test_malformed_instance_manifest_exit_4(self, workdir, capsys, manifest):
-        run_cli("gen", "--dim", "2", "--seed", "3", "--out", "inst")
-        (workdir / "inst/instance.json").write_text(json.dumps(manifest))
-        assert run_cli("solve", "--instance", "inst") == 4
-        assert "error [MatrixFormatError]" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
         "argv, bad",
         [
             (["logm", "--in", "inst/y1.json"], "inst/y1.json"),
             (["verify", "--instance", "inst", "--weights", "inst/weights.json"],
              "inst/weights.json"),
-            (["solve", "--instance", "inst"], "inst/instance.json"),
+            (["solve", "--instance", "inst"], "inst/x1.json"),
         ],
         ids=["matrix", "weights", "manifest"],
     )
@@ -448,6 +468,14 @@ class TestExperimentCommand:
         assert "Warning" not in out.stderr
         if code == 3:
             assert out.stderr.startswith("error [MaxResampleError]: seed 5")
+
+    def test_repeated_seed_exit_2(self, workdir, capsys):
+        # a repeated seed would run twice and write its trace rows twice
+        code = run_cli("experiment", "--dim", "2", "--steps", "3", "--seeds", "1..3,2",
+                       "--out", "t.csv")
+        assert code == 2
+        assert "seeds must be distinct, got 2 more than once" in capsys.readouterr().err
+        assert not list(workdir.iterdir())
 
     def test_bad_seeds_exit_2(self, workdir):
         assert run_cli("experiment", "--dim", "3", "--seeds", "9..1") == 2

@@ -274,6 +274,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"got {re.escape(repr(seed))}$"):
             xp.ExperimentConfig(dim=2, steps=3, seeds=(1, seed))
 
+    def test_repeated_seed_is_refused(self):
+        # checked after conversion, so 1 and 1.0 are the same seed
+        with pytest.raises(ValueError, match="^seeds must be distinct, got 1 more than once$"):
+            xp.ExperimentConfig(dim=2, steps=3, seeds=(1, 2, 1.0))
+
     @pytest.mark.parametrize("dim", [0, -2, 2.5, True, math.nan, math.inf, "2"])
     def test_dim_must_be_a_positive_integer(self, dim):
         with pytest.raises(ValueError, match=f"^dim .*got {re.escape(repr(dim))}$"):

@@ -338,6 +338,21 @@ class TestMatrixJson:
             linalg.save_matrix(path, np.array([[1.0, bad], [0.0, 1.0]]))
         assert not path.exists()
 
+    def test_empty_matrix_roundtrip(self, tmp_path):
+        # save_matrix writes a 0 x 0 matrix as {"dim": 0, "entries": []}; the
+        # text is decoded here, not taken from the memo save_matrix fills
+        path = tmp_path / "m.json"
+        linalg.save_matrix(path, np.zeros((0, 0)))
+        obj = json.loads(path.read_text())
+        assert obj == {"dim": 0, "entries": []}
+        again = linalg.matrix_from_json(obj)
+        assert again.shape == (0, 0) and again.dtype == np.complex128
+        # no other empty nesting decodes
+        for bad in ({"dim": 0, "entries": [[]]}, {"dim": 0, "entries": [[[]]]},
+                    {"dim": 1, "entries": []}):
+            with pytest.raises(errors.MatrixFormatError):
+                linalg.matrix_from_json(bad)
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             linalg.matrix_from_json({"dim": 3, "entries": [[[1.0, 0.0]]]})
