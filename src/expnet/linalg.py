@@ -66,7 +66,7 @@ def cmatrix(entries) -> CMatrix:
     Raises
     ------
     DimensionError
-        If the input is not 2-D square.
+        If the input is not 2-D square of order at least 1.
     ValueError
         If any entry is NaN or infinite.
     """
@@ -86,12 +86,12 @@ def require_finite(a: np.ndarray, what: str = "matrix", error: type = ValueError
 
 
 def one_norm(a: np.ndarray) -> float:
-    """The 1-norm (largest column sum of moduli), 0 for an empty matrix.
+    """The 1-norm (largest column sum of moduli) of a nonempty matrix.
 
     The same bits as ``np.linalg.norm(a, 1)``, without its dispatch. It
     is finite exactly when every entry is and the sum does not overflow.
     """
-    return np.abs(a).sum(axis=0).max(initial=0.0)
+    return np.abs(a).sum(axis=0).max()
 
 
 def require_positive(value: float, what: str) -> None:
@@ -115,8 +115,8 @@ def integer_value(value, rule: str, minimum: float = -math.inf) -> int:
 
 
 def _check_square(a: np.ndarray) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"matrix must be square 2-D, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise DimensionError(f"matrix must be square 2-D of order at least 1, got shape {a.shape}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +152,7 @@ def _lapack(dtype: np.dtype) -> SimpleNamespace:
 
 
 def lu_factor(a: CMatrix) -> LuFactors:
-    """LU-factor a square matrix with partial pivoting.
+    """LU-factor a square matrix of order at least 1 with partial pivoting.
 
     The factors have the input's field: float64 for real input (LAPACK
     dgetrf/dgecon), complex128 for complex input (zgetrf/zgecon). The
@@ -168,15 +168,12 @@ def lu_factor(a: CMatrix) -> LuFactors:
     a = np.asarray(a)
     _check_square(a)
     a = np.ascontiguousarray(a, dtype=np.complex128 if a.dtype.kind == "c" else np.float64)
-    if a.size == 0:
-        # getrf rejects n = 0 (and prints the complaint to stderr)
-        return LuFactors(a.copy(), np.zeros(0, dtype=np.int32), 0.0)
     return LuFactors(*_lu_factor(a))
 
 
 def _lu_factor(a: np.ndarray) -> tuple:
-    """``(lu, piv, rcond)`` of :func:`lu_factor` for a nonempty,
-    C-contiguous, square float64 or complex128 ``a``, which is not
+    """``(lu, piv, rcond)`` of :func:`lu_factor` for a C-contiguous,
+    square float64 or complex128 ``a`` of order at least 1, which is not
     checked: the LAPACK calls and the rcond rule alone, for a caller that
     factors many such matrices."""
     lapack = _lapack(a.dtype)
@@ -216,14 +213,12 @@ def lu_solve(factors: LuFactors, b: np.ndarray, trans: int = 0) -> np.ndarray:
         )
     if b.dtype != lu.dtype:
         lu = lu.astype(np.result_type(lu, b), copy=False)
-    if b.size == 0:  # getrs rejects n = 0
-        return np.empty(b.shape, dtype=lu.dtype)
     return _lu_solve(lu, factors.piv, b, trans)
 
 
 def _lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
-    """:func:`lu_solve` from packed factors ``lu``, ``piv`` and a nonempty
-    ``b`` of the same field, which is not checked: getrs alone."""
+    """:func:`lu_solve` from packed factors ``lu``, ``piv`` and a ``b`` of
+    the same field and order, which is not checked: getrs alone."""
     x, info = _lapack(lu.dtype).getrs(lu, piv, b, trans)
     if info != 0:  # pragma: no cover - illegal-argument path
         raise ValueError(f"getrs failed with info={info}")
@@ -297,14 +292,11 @@ def schur_decompose(a: CMatrix) -> SchurForm:
     a = np.ascontiguousarray(a, dtype=np.complex128)
     _check_square(a)
     require_finite(a)
-    if a.size == 0:  # zgees rejects n = 0
-        t = q = np.empty((0, 0), dtype=np.complex128)
-    else:
-        t, _, _, q, _, info = _lapack(a.dtype).gees(_no_sort, a)
-        if info > 0:
-            raise ConvergenceError(f"QR iteration did not converge (zgees info={info})")
-        if info < 0:  # pragma: no cover - illegal-argument path
-            raise ValueError(f"zgees failed with info={info}")
+    t, _, _, q, _, info = _lapack(a.dtype).gees(_no_sort, a)
+    if info > 0:
+        raise ConvergenceError(f"QR iteration did not converge (zgees info={info})")
+    if info < 0:  # pragma: no cover - illegal-argument path
+        raise ValueError(f"zgees failed with info={info}")
     return SchurForm(q=q, t=t)
 
 
@@ -355,8 +347,6 @@ def matrix_from_json(obj: dict) -> CMatrix:
         raise MatrixFormatError(f"matrix JSON 'dim' must be an integer, got {dim!r}")
     try:
         pairs = np.asarray(obj["entries"])
-        if dim == 0 and pairs.shape == (0,):  # [] is the 0 x 0 matrix
-            pairs = pairs.reshape(0, 0, 2)
     except ValueError:  # ragged nesting
         pairs = None
     if pairs is None or pairs.shape != (dim, dim, 2) or pairs.dtype.kind not in "iuf":

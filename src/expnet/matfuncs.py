@@ -285,7 +285,7 @@ def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
     log_t = _logm_triu(form.t)
     magnitude = np.abs(log_t)
     # written so that a NaN from an overflowed root fails the test
-    if not magnitude.max(initial=0.0) <= STRADDLE_LOG_LIMIT:
+    if not magnitude.max() <= STRADDLE_LOG_LIMIT:
         _reject_straddling_span(form.eigenvalues, magnitude)
     if branch:
         log_t = log_t + (2j * math.pi * branch) * np.eye(

@@ -255,6 +255,32 @@ class TestSolveVerifyEval:
         assert err.startswith("error [OverflowError]") and err.count("\n") == 1
         assert not (workdir / "inst/weights.json").exists()
 
+    def test_missed_tolerance_exit_5(self, workdir, capsys):
+        # the verification runs and its files are written, but no residual meets 1e-300
+        run_cli("gen", "--dim", "3", "--seed", "1", "--out", "inst")
+        capsys.readouterr()
+        for argv in (
+            ("solve", "--instance", "inst", "--tol", "1e-300"),
+            ("verify", "--instance", "inst", "--weights", "inst/weights.json",
+             "--tol", "1e-300", "--report-out", "r.json"),
+        ):
+            assert run_cli(*argv) == 5, argv
+            assert capsys.readouterr().err == "error: verification missed tolerance 1e-300\n"
+        assert (workdir / "inst/weights.json").exists()
+        for report in ("inst/report.json", "r.json"):
+            assert json.loads((workdir / report).read_text())["pass"] is False
+
+    def test_ill_conditioned_layers_exit_5(self, workdir, capsys):
+        # expm(-W1 X2) of this instance is near-singular at the default alpha:
+        # the solve refuses it and writes nothing
+        run_cli("gen", "--dim", "4", "--seed", "40006", "--out", "inst")
+        capsys.readouterr()
+        assert run_cli("solve", "--instance", "inst") == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error [NearSingularError]: expm(-W1 X2)") and err.count("\n") == 1
+        assert not (workdir / "inst/weights.json").exists()
+        assert not (workdir / "inst/report.json").exists()
+
     def test_missing_instance_exit_4(self, workdir, capsys):
         assert run_cli("solve", "--instance", "nowhere") == 4
         # a missing path is an error, even when its parent directory holds an instance
@@ -361,8 +387,9 @@ class TestMatrixFunctions:
             '{"entries": [[[1.0, 0.0]]]}',
             '[[[1.0, 0.0]]]',
             '{"dim": 1, "entries": [[[NaN, 0.0]]]}',
+            '{"dim": 0, "entries": []}',
         ],
-        ids=["string-entry", "scalar-entries", "triple", "no-dim", "list", "nan"],
+        ids=["string-entry", "scalar-entries", "triple", "no-dim", "list", "nan", "order-0"],
     )
     def test_malformed_matrix_file_exit_4(self, workdir, capsys, body):
         (workdir / "m.json").write_text(body)

@@ -85,13 +85,6 @@ class TestExpm:
         a = random_complex(11, 5)
         assert_allclose(expm(a) @ expm(-a), np.eye(5), atol=1e-12)
 
-    def test_empty_matrix(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = expm(np.zeros((0, 0)))
-        assert out.shape == (0, 0)
-        assert out.dtype == np.complex128
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_entry_is_a_value_error(self, bad):
         # the norm guard sees it first; the refusal names the entry, not overflow

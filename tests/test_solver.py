@@ -89,10 +89,12 @@ class TestInstances:
         for name in ("x1", "x2", "y1", "y2"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
-    def test_instance_file_roundtrip(self, tmp_path):
+    def test_instance_file_roundtrip(self, tmp_path, decodes):
         inst = admitted_instance(3, seed=8)
         manifest = solver.save_instance(tmp_path / "inst", inst)
+        linalg._decoded.clear()  # so the load runs the decoder on each file
         again = solver.load_instance(manifest)
+        assert decodes["n"] == 4
         for name in ("x1", "x2", "y1", "y2"):
             assert_array_equal(getattr(again, name), getattr(inst, name))
         assert again.rconds == pytest.approx(inst.rconds)
@@ -171,12 +173,27 @@ class TestSolveThreeLayer:
             for name in ("w1", "w2", "w3", "z"):
                 assert getattr(w, name).tobytes() == getattr(ref, name).tobytes()
 
-    def test_residual1_reports_a_miss_at_x1(self):
+    def test_residual1_reports_a_miss_at_x1(self, monkeypatch):
         # battery instance whose weights miss Y1 by 7e-2 in 50-digit
-        # arithmetic at alpha = e; residual1 must not read as rounding
+        # arithmetic at alpha = e; residual1 must not read as rounding.
+        # The solve refuses it unless its floor is 0.
+        monkeypatch.setattr(solver, "LAYER_RCOND_FLOOR", 0.0)
         inst = admitted_instance(4, seed=40006)
         rep = solver.verify(solver.solve_three_layer(inst, alpha=math.e), inst)
         assert rep.residual1 > 1e-6
+
+    @pytest.mark.parametrize(
+        "seed, alpha",
+        [(40006, math.e), (40006, 0.5), (40006, 2.0), (40006, 4.0), (40034, math.e)],
+    )
+    def test_ill_conditioned_layers_are_refused(self, seed, alpha):
+        # battery instances whose weights miss the labels at these scales
+        # (and overflow the forward map at X1 for alpha = 4): expm(-W1 X2)
+        # is near-singular, and the solve says so instead of returning them
+        inst = admitted_instance(4, seed=seed)
+        with pytest.raises(errors.NearSingularError, match=r"^expm\(-W1 X2\) .* floor") as info:
+            solver.solve_three_layer(inst, alpha=alpha)
+        assert info.value.rcond <= solver.LAYER_RCOND_FLOOR
 
     def test_identity_checks_small(self):
         inst = admitted_instance(5, seed=55)
@@ -190,8 +207,8 @@ class TestSolveThreeLayer:
     def test_each_instance_matrix_is_factored_once(self, monkeypatch):
         # make_instance factors the five instance matrices; solve reuses
         # Y1's and X1 - X2's factors for its two inverses and verify Y1's
-        # for its one solve, so only logm's input and verify's
-        # difference_rcond add a factoring
+        # for its one solve, so only logm's input, the solve's gate on
+        # expm(-W1 X2) and verify's difference_rcond add a factoring
         calls = {"lu_factor": 0, "inverse": 0, "lu_solve": 0}
 
         def counted(name, fn):
@@ -211,7 +228,7 @@ class TestSolveThreeLayer:
         assert calls == {"lu_factor": 5, "inverse": 0, "lu_solve": 0}
         rep = solver.verify(solver.solve_three_layer(inst), inst)
         assert rep.passed
-        assert calls == {"lu_factor": 7, "inverse": 2, "lu_solve": 1}
+        assert calls == {"lu_factor": 8, "inverse": 2, "lu_solve": 1}
 
     def test_a_cli_chain_decodes_each_matrix_once(self, tmp_path, decodes, capsys):
         # gen's four matrices are kept as it writes them, so solve, verify,
@@ -409,6 +426,29 @@ class TestVerifyRobustness:
             rep = solver.verify(w, inst)
         assert rep.residual1 <= 1e-12
         assert rep.residual2 == math.inf
+        assert not rep.passed
+
+    def test_overflowing_first_layer_makes_every_value_inf(self):
+        # W1 X overflows expm at both points: no forward pass and no
+        # identity check can be formed
+        inst = admitted_instance(3, seed=1)
+        w = solver.solve_three_layer(inst)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solver.verify(dataclasses.replace(w, w1=w.w1 * 1e9), inst)
+        assert rep.residual1 == rep.residual2 == math.inf
+        assert list(rep.identity_checks.values()) == [math.inf] * 4
+        assert not rep.passed
+
+    def test_zero_second_layer_leaves_commutant_form_inf(self):
+        # W2 expm(W1 X1), the reference of commutant_form, has norm 0
+        inst = admitted_instance(3, seed=1)
+        w = solver.solve_three_layer(inst)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solver.verify(dataclasses.replace(w, w2=w.w2 * 0), inst)
+        assert rep.identity_checks["commutant_form"] == math.inf
+        assert math.isfinite(rep.residual1) and math.isfinite(rep.residual2)
         assert not rep.passed
 
     def test_singular_y1_leaves_z_definition_inf(self):
