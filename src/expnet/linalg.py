@@ -7,14 +7,10 @@ Matrices are plain ``numpy.ndarray`` values. :func:`cmatrix` is the
 validating constructor of complex128 matrices; it returns a read-only
 array so matrix values behave as immutable data. The LU routines call
 LAPACK directly and keep the field of their input: real input is factored
-and solved in float64, complex input in complex128. The 1-norm that the
-condition estimate needs comes from LAPACK dlange for real input; complex
-input keeps numpy's ``abs``-and-sum, because zlange's modulus differs from
-numpy's in the last bit on about a quarter of random matrices, which would
-move printed rconds. The Schur form calls LAPACK zgees directly too. All
-operations here are pure functions of their inputs: repeated calls on
-identical inputs return bit-identical results (BLAS summation order is
-fixed within one build).
+and solved in float64, complex input in complex128. The Schur form calls
+LAPACK zgees directly too. All operations here are pure functions of
+their inputs: repeated calls on identical inputs return bit-identical
+results (BLAS summation order is fixed within one build).
 """
 
 from __future__ import annotations
@@ -96,9 +92,14 @@ def one_norm(a: np.ndarray) -> float:
 
 def require_positive(value: float, what: str) -> None:
     """Raise ValueError naming ``what`` unless ``value`` is a positive,
-    finite real number (a bool, a string or a complex is refused)."""
+    finite real number (a bool, a string, a complex or an integer past
+    float range is refused)."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and value > 0 and math.isfinite(value)):
+    try:
+        valid = real and value > 0 and math.isfinite(value)
+    except OverflowError:  # an integer past float range
+        valid = False
+    if not valid:
         raise ValueError(f"{what} must be positive and finite, got {value!r}")
 
 
@@ -160,10 +161,8 @@ def lu_factor(a: CMatrix) -> LuFactors:
     Never fails on singular input: exact singularity (a zero pivot,
     getrf ``info > 0``) is reported through ``rcond == 0``. The estimate
     is the LAPACK 1-norm reciprocal condition number computed from the
-    factors and the input's 1-norm. That norm comes from dlange for real
-    input and from numpy for complex input: zlange's modulus is not
-    bit-equal to numpy's, and the rconds would move. A NaN or infinite
-    entry, or a 1-norm past float64 range, raises ValueError.
+    factors and the input's 1-norm (lange). A NaN or infinite entry, or a
+    1-norm past float64 range, raises ValueError.
     """
     a = np.asarray(a)
     _check_square(a)
@@ -178,13 +177,10 @@ def _lu_factor(a: np.ndarray) -> tuple:
     factors many such matrices."""
     lapack = _lapack(a.dtype)
     lu, piv, info = lapack.getrf(a)
-    if a.dtype.kind == "f":
-        # ||a||_1 = ||a^T||_inf, and a.T is Fortran-ordered, so dlange
-        # reads it without a copy; it sums each column in row order, as
-        # numpy does, so the norm has the same bits
-        anorm = lapack.lange("I", a.T)
-    else:
-        anorm = float(one_norm(a))
+    # ||a||_1 = ||a^T||_inf, and a.T is Fortran-ordered, so lange reads it
+    # without a copy; dlange sums each column in row order, as numpy does,
+    # so a real norm has numpy's bits
+    anorm = lapack.lange("I", a.T)
     if not math.isfinite(anorm):
         raise ValueError(f"matrix entries must be finite (no NaN/Inf); 1-norm {anorm}")
     if info > 0 or anorm == 0.0:

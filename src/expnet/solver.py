@@ -103,11 +103,12 @@ class ProblemInstance:
     ``factors`` holds the :class:`~expnet.linalg.LuFactors` of the four
     matrices and of X1 - X2, under the keys ``x1``, ``x2``, ``y1``, ``y2``
     and ``x1_minus_x2``, so that :func:`solve_three_layer` and
-    :func:`verify` invert Y1 and X1 - X2 without factoring them again. It
-    is derived data and stays out of repr. An instance is *admitted* when
-    all five rconds clear the threshold: ``ADMISSION_RCOND`` for the
-    solver, the experiment's ``ACTIVATION_RCOND_FLOOR`` for its real
-    draws. Equality and hash go by identity.
+    :func:`verify` solve Y1^-1 Y2, and the solve inverts X1 - X2, without
+    factoring them again. It is derived data and stays out of repr. An
+    instance is *admitted* when all five rconds clear the threshold:
+    ``ADMISSION_RCOND`` for the solver, the experiment's
+    ``ACTIVATION_RCOND_FLOOR`` for its real draws. Equality and hash go by
+    identity.
     """
 
     x1: CMatrix
@@ -178,9 +179,9 @@ class ThreeLayerWeights:
 
     Z = logm(Y1^-1 Y2) + ln(alpha) I for the instance it was built from,
     so expm(Z) = alpha * Y1^-1 Y2. alpha is positive and finite with
-    |alpha - 1| >= MIN_ALPHA_GAP (else ValueError), and the four matrices
-    share one shape (else :class:`DimensionError`). Equality and hash go
-    by identity.
+    |alpha - 1| >= MIN_ALPHA_GAP (else ValueError), and is kept as a
+    float; the four matrices share one shape (else
+    :class:`DimensionError`). Equality and hash go by identity.
     """
 
     w1: CMatrix
@@ -191,6 +192,7 @@ class ThreeLayerWeights:
 
     def __post_init__(self):
         _validate_alpha(self.alpha)
+        object.__setattr__(self, "alpha", float(self.alpha))
         shapes = {m.shape for m in (self.w1, self.w2, self.w3, self.z)}
         if len(shapes) != 1:
             raise DimensionError(f"weight matrices disagree on shape: {sorted(shapes)}")
@@ -258,7 +260,7 @@ def solve_three_layer(
         raise InstanceRejectedError(
             f"instance rejected: rcond at or below {ADMISSION_RCOND:g} for {failing}"
         )
-    log_m = logm(inverse(inst.y1, inst.factors["y1"]) @ np.asarray(inst.y2), branch)
+    log_m = logm(lu_solve(inst.factors["y1"], inst.y2), branch)
     ln_alpha = math.log(alpha)
     z = log_m + ln_alpha * np.eye(inst.dim, dtype=np.complex128)
     w1 = ln_alpha * inverse(inst.x1 - inst.x2, inst.factors["x1_minus_x2"])
@@ -429,10 +431,6 @@ def weights_from_json(obj: dict) -> ThreeLayerWeights:
     alpha = obj["alpha"]
     if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
         raise MatrixFormatError(f"weights JSON 'alpha' must be a number, got {alpha!r}")
-    try:
-        alpha = float(alpha)
-    except OverflowError:  # an integer literal past float range
-        alpha = math.inf if alpha > 0 else -math.inf
     w1, w2, w3, z = (matrix_from_json(obj[name]) for name in _WEIGHT_FIELDS[1:])
     return ThreeLayerWeights(w1=w1, w2=w2, w3=w3, alpha=alpha, z=z)
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from expnet import cli, errors, linalg, solver
+from expnet import cli, errors, linalg, matfuncs, solver
 from expnet.matfuncs import PRINCIPAL
 
 from conftest import random_matrix
@@ -378,6 +378,12 @@ class TestMatrixFunctions:
         assert "error [NearSingularError]" in err
         assert "singular" in err.lower()
 
+    def test_logm_root_cap_exit_5(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(matfuncs, "LOGM_MAX_SQRTS", 2)
+        linalg.save_matrix(workdir / "a.json", np.diag([100.0, 1.0]))
+        assert run_cli("logm", "--in", "a.json") == 5
+        assert "error [ConvergenceError]" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -388,8 +394,15 @@ class TestMatrixFunctions:
             '[[[1.0, 0.0]]]',
             '{"dim": 1, "entries": [[[NaN, 0.0]]]}',
             '{"dim": 0, "entries": []}',
+            '{"dim": "1", "entries": [[[1.0, 0.0]]]}',
+            '{"dim": 1.0, "entries": [[[1.0, 0.0]]]}',
+            '{"dim": true, "entries": [[[1.0, 0.0]]]}',
+            '{"dim": 2, "entries": [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}',
         ],
-        ids=["string-entry", "scalar-entries", "triple", "no-dim", "list", "nan", "order-0"],
+        ids=[
+            "string-entry", "scalar-entries", "triple", "no-dim", "list", "nan", "order-0",
+            "string-dim", "float-dim", "bool-dim", "ragged",
+        ],
     )
     def test_malformed_matrix_file_exit_4(self, workdir, capsys, body):
         (workdir / "m.json").write_text(body)
@@ -464,6 +477,15 @@ class TestExperimentCommand:
         initial = [l for l in out.splitlines() if l.startswith("median initial s:")]
         assert len(initial) == 1
         assert abs(float(initial[0].split(":")[1]) - 1.0) <= 1e-10
+
+    def test_divergent_seed_is_printed_and_recorded(self, workdir, capsys):
+        # one relu step at this rate takes seed 3's score from 0.6748 to 18.20
+        argv = ("experiment", "--dim", "4", "--activation", "relu", "--steps", "1",
+                "--seeds", "3", "--lr", "0.1", "--out", "t.csv")
+        assert run_cli(*argv) == 0
+        assert "divergent seeds: 1 of 1" in capsys.readouterr().out.splitlines()
+        sidecar = json.loads((workdir / "t.config.json").read_text())
+        assert [run["diverged"] for run in sidecar["summary"]["runs"]] == [True]
 
     def test_trace_files_and_determinism(self, workdir, capsys):
         args = (

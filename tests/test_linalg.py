@@ -162,12 +162,14 @@ class TestLu:
             assert np.float64(linalg.lu_factor(a).rcond).tobytes() == np.float64(ref).tobytes()
         assert linalg.lu_factor(np.zeros((3, 3))).rcond == 0.0
 
-    def test_complex_rcond_keeps_the_numpy_norm(self):
-        # zlange's modulus is not bit-equal to numpy's; the rcond must be
+    def test_complex_rcond_takes_the_lapack_norm(self):
+        # both fields take the 1-norm from lange, into the same gecon
         rng = np.random.default_rng(32)
         for dim in range(1, 41):
             a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            ref = self.numpy_norm_rcond(a)
+            getrf, gecon, lange = scipy.linalg.get_lapack_funcs(("getrf", "gecon", "lange"), (a,))
+            lu = getrf(a)[0]
+            ref = gecon(lu, lange("I", a.T), norm="1")[0]
             assert np.float64(linalg.lu_factor(a).rcond).tobytes() == np.float64(ref).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])

@@ -429,6 +429,12 @@ class TestLogm:
             logm(np.diag([1.0, 1e-13]))
         assert info.value.rcond <= linalg.SINGULAR_RCOND
 
+    def test_root_cap_raises_convergence_error(self, monkeypatch):
+        # 100 needs more than two square roots to come within theta_7 of 1
+        monkeypatch.setattr(matfuncs, "LOGM_MAX_SQRTS", 2)
+        with pytest.raises(errors.ConvergenceError, match="square-root chain"):
+            logm(np.diag([100.0, 1.0]))
+
     def test_defective_straddling_cluster_rejected(self):
         # coupled near-equal eigenvalues astride the negative real axis:
         # no primary logarithm is accurate here, so refuse loudly, naming

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from expnet import cli, errors, linalg, matfuncs, solver
+from expnet import cli, errors, experiment, linalg, matfuncs, solver
 
 from conftest import oracle_expm, random_matrix
 
@@ -205,10 +205,10 @@ class TestSolveThreeLayer:
                 assert value <= 1e-7, (name, value)
 
     def test_each_instance_matrix_is_factored_once(self, monkeypatch):
-        # make_instance factors the five instance matrices; solve reuses
-        # Y1's and X1 - X2's factors for its two inverses and verify Y1's
-        # for its one solve, so only logm's input, the solve's gate on
-        # expm(-W1 X2) and verify's difference_rcond add a factoring
+        # make_instance factors the five instance matrices; solve and
+        # verify each solve Y1^-1 Y2 from Y1's factors, and solve inverts
+        # X1 - X2 from its factors, so only logm's input, the solve's gate
+        # on expm(-W1 X2) and verify's difference_rcond add a factoring
         calls = {"lu_factor": 0, "inverse": 0, "lu_solve": 0}
 
         def counted(name, fn):
@@ -228,7 +228,7 @@ class TestSolveThreeLayer:
         assert calls == {"lu_factor": 5, "inverse": 0, "lu_solve": 0}
         rep = solver.verify(solver.solve_three_layer(inst), inst)
         assert rep.passed
-        assert calls == {"lu_factor": 8, "inverse": 2, "lu_solve": 1}
+        assert calls == {"lu_factor": 8, "inverse": 1, "lu_solve": 2}
 
     def test_a_cli_chain_decodes_each_matrix_once(self, tmp_path, decodes, capsys):
         # gen's four matrices are kept as it writes them, so solve, verify,
@@ -401,6 +401,27 @@ class TestVerifyRobustness:
             solver.solve_three_layer(inst, alpha=value)
         with pytest.raises(ValueError, match="^alpha must be positive and finite"):
             solver.ThreeLayerWeights(w1=w.w1, w2=w.w2, w3=w.w3, alpha=value, z=w.z)
+
+    def test_an_integer_past_float_range_is_refused(self):
+        # float(10**400) overflows: each entry point names its argument in
+        # a ValueError instead of raising OverflowError
+        inst = admitted_instance(2, seed=1)
+        w = solver.solve_three_layer(inst)
+        huge = 10**400
+        with pytest.raises(ValueError, match="^alpha must be positive and finite"):
+            solver.solve_three_layer(inst, alpha=huge)
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            solver.verify(w, inst, tol=huge)
+        with pytest.raises(ValueError, match="^alpha must be positive and finite"):
+            solver.ThreeLayerWeights(w1=w.w1, w2=w.w2, w3=w.w3, alpha=huge, z=w.z)
+        with pytest.raises(ValueError, match="^learning_rate must be positive and finite"):
+            experiment.ExperimentConfig(dim=3, learning_rate=huge)
+
+    def test_weights_keep_alpha_as_a_float(self):
+        w = solver.solve_three_layer(admitted_instance(2, seed=1), alpha=2)
+        assert type(w.alpha) is float and w.alpha == 2.0
+        obj = {**solver.weights_to_json(w), "alpha": 3}
+        assert type(solver.weights_from_json(obj).alpha) is float
 
     def test_unexpected_errors_propagate(self, monkeypatch):
         # the check block catches only the documented numerical failures
