@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import scipy.linalg
 
 from .errors import (
@@ -100,7 +101,7 @@ def require_positive(value: float, what: str) -> None:
     except OverflowError:  # an integer past float range
         valid = False
     if not valid:
-        raise ValueError(f"{what} must be positive and finite, got {value!r}")
+        raise ValueError(f"{what} must be positive and finite, got {_shown(value)}")
 
 
 def integer_value(value, rule: str, minimum: float = -math.inf) -> int:
@@ -111,8 +112,21 @@ def integer_value(value, rule: str, minimum: float = -math.inf) -> int:
         isinstance(value, float) and value.is_integer()
     )
     if isinstance(value, bool) or not integral or value < minimum:
-        raise ValueError(f"{rule}, got {value!r}")
+        raise ValueError(f"{rule}, got {_shown(value)}")
     return int(value)
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message; for an integer of more than
+    300 digits, whose ``repr`` is long and past 4,300 digits raises
+    ValueError, its sign, type and digit count."""
+    if not isinstance(value, int) or abs(value) < 10**300:
+        return repr(value)
+    magnitude = abs(value)
+    digits = int(math.log10(magnitude)) + 1  # may be one off near a power of 10
+    digits += (magnitude >= 10**digits) - (magnitude < 10 ** (digits - 1))
+    sign = "negative " if value < 0 else ""
+    return f"{sign}{type(value).__name__} of {digits} digits"
 
 
 def _check_square(a: np.ndarray) -> None:
@@ -232,14 +246,14 @@ def require_nonsingular(
         )
 
 
-def inverse(a: CMatrix, factors: LuFactors | None = None) -> CMatrix:
+def inverse(a: CMatrix | LuFactors) -> CMatrix:
     """Invert a square matrix, guarded by the floor ``SINGULAR_RCOND``.
 
-    ``factors`` is :func:`lu_factor` of ``a`` when the caller already
-    holds it (a :class:`~expnet.solver.ProblemInstance` keeps those of
-    its matrices); the inverse is then solved from them, bit-equal to
-    ``inverse(a)``, and ``a`` is not read. The inverse has the
-    input's field (see :func:`lu_factor`).
+    ``a`` is the matrix or its :func:`lu_factor` output, when the caller
+    already holds it (a :class:`~expnet.solver.ProblemInstance` keeps
+    those of its matrices); the inverse is then solved from the factors,
+    bit-equal to inverting the matrix. The inverse has the input's field
+    (see :func:`lu_factor`).
     Residual behavior: measured over random well-conditioned inputs the
     multiply-back error satisfies ``||a @ inverse(a) - I||_F <= c * d *
     eps / rcond`` with c < 5 (c ~= 0.3 typical at d <= 16).
@@ -249,8 +263,7 @@ def inverse(a: CMatrix, factors: LuFactors | None = None) -> CMatrix:
     NearSingularError
         When the 1-norm rcond estimate is at or below ``SINGULAR_RCOND``.
     """
-    if factors is None:
-        factors = lu_factor(a)
+    factors = a if isinstance(a, LuFactors) else lu_factor(a)
     require_nonsingular(factors.rcond)
     return lu_solve(factors, np.eye(factors.lu.shape[0], dtype=factors.lu.dtype))
 
@@ -316,8 +329,8 @@ def gaussian_entries(rng: np.random.Generator, dim: int, kind: str) -> np.ndarra
 #
 #   {"dim": d, "entries": [[[re, im], ... d columns ...], ... d rows ...]}
 #
-# Writers emit native JSON floats (repr round-trips all 17 significant
-# digits), so load(dump(A)) is bit-exact.
+# Writers emit native JSON floats with their shortest round-trip digits
+# (those of repr), so load(dump(A)) is bit-exact.
 
 
 def matrix_to_json(a: CMatrix) -> dict:
@@ -355,18 +368,35 @@ def matrix_from_json(obj: dict) -> CMatrix:
     return cmatrix(pairs.view(np.complex128)[..., 0])
 
 
-def save_json(path, obj, indent=None) -> str:
-    """Write ``obj`` as one JSON document plus a newline; return that text.
+def save_json(path, obj, indent=None) -> None:
+    """Write ``obj`` as one JSON document plus a newline.
 
-    One ``json.dumps`` call and one write: ``json.dump`` streams through
-    the pure-Python encoder. ``obj`` must hold no reference cycle, as the
-    trees the package builds for its files do not: the circular-reference
-    walk is skipped.
+    The writer of the documents (instance manifest, report, experiment
+    sidecar): the stdlib encoder writes an infinite float as ``Infinity``
+    and an integer of any size. One ``json.dumps`` call and one write:
+    ``json.dump`` streams through the pure-Python encoder. ``obj`` must
+    hold no reference cycle, as the trees the package builds for its
+    files do not: the circular-reference walk is skipped.
     """
     text = json.dumps(obj, indent=indent, check_circular=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    return text
+
+
+def save_compact_json(path, obj) -> bytes:
+    """Write ``obj`` as one compact JSON line plus a newline; return the bytes.
+
+    The writer of the matrix and weights files. orjson prints each float
+    with its shortest round-trip digits, those of ``repr``, about ten
+    times faster than ``json.dumps``, so ``json.loads`` of the file gives
+    the same bits. It writes NaN and infinities as ``null`` and refuses
+    an integer past 64 bits, so every float in ``obj`` must be finite and
+    every integer small.
+    """
+    data = orjson.dumps(obj, option=orjson.OPT_APPEND_NEWLINE)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return data
 
 
 def save_matrix(path, a: CMatrix) -> None:
@@ -375,11 +405,12 @@ def save_matrix(path, a: CMatrix) -> None:
     A non-finite ``a`` raises ValueError before the file is opened, as
     :func:`load_matrix` would refuse what it wrote. The text written is
     kept for :func:`load_matrix` with ``cmatrix(a)`` as its decoded value:
-    floats are written with ``repr``, which round-trips, so decoding that
-    text gives those bits.
+    floats are written with round-trip digits, so decoding that text
+    gives those bits.
     """
     a = cmatrix(a)
-    _remember(("matrix", save_json(path, matrix_to_json(a))), a)
+    text = save_compact_json(path, matrix_to_json(a)).decode("utf-8")
+    _remember(("matrix", text), a)
 
 
 def read_text(path) -> str:

@@ -52,6 +52,7 @@ from .linalg import (
     require_finite,
     require_nonsingular,
     require_positive,
+    save_compact_json,
     save_json,
     save_matrix,
 )
@@ -263,7 +264,7 @@ def solve_three_layer(
     log_m = logm(lu_solve(inst.factors["y1"], inst.y2), branch)
     ln_alpha = math.log(alpha)
     z = log_m + ln_alpha * np.eye(inst.dim, dtype=np.complex128)
-    w1 = ln_alpha * inverse(inst.x1 - inst.x2, inst.factors["x1_minus_x2"])
+    w1 = ln_alpha * inverse(inst.factors["x1_minus_x2"])
     # an entry that overflows is refused by the loop below, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
         e = expm(-(w1 @ inst.x2))
@@ -454,7 +455,7 @@ def save_weights(path, weights: ThreeLayerWeights) -> None:
     """
     for name in _WEIGHT_FIELDS[1:]:
         require_finite(getattr(weights, name), f"weights {name}")
-    save_json(path, weights_to_json(weights))
+    save_compact_json(path, weights_to_json(weights))
 
 
 def load_weights(path) -> ThreeLayerWeights:

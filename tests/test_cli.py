@@ -118,6 +118,12 @@ class TestGen:
                 workdir / "b" / name
             ).read_bytes()
 
+    def test_seed_past_64_bits_is_recorded_exactly(self, workdir, capsys):
+        # instance.json is a document: its writer takes an integer of any size
+        seed = 4611686018427387904000
+        assert run_cli("gen", "--dim", "3", "--seed", str(seed), "--out", "inst") == 0
+        assert json.loads((workdir / "inst/instance.json").read_text())["seed"] == seed
+
     def test_dim_zero_is_usage_error(self, workdir, capsys):
         assert run_cli("gen", "--dim", "0", "--seed", "1") == 2
 
@@ -269,6 +275,22 @@ class TestSolveVerifyEval:
         assert (workdir / "inst/weights.json").exists()
         for report in ("inst/report.json", "r.json"):
             assert json.loads((workdir / report).read_text())["pass"] is False
+
+    def test_overflowing_verify_reports_infinity(self, workdir, capsys):
+        # report.json is a document: an overflowed residual is written as
+        # Infinity, which json reads back as inf
+        run_cli("gen", "--dim", "3", "--seed", "1", "--out", "inst")
+        assert run_cli("solve", "--instance", "inst") == 0
+        weights = json.loads((workdir / "inst/weights.json").read_text())
+        w1 = linalg.matrix_from_json(weights["w1"])
+        (workdir / "w.json").write_text(
+            json.dumps({**weights, "w1": linalg.matrix_to_json(1e9 * w1)})
+        )
+        argv = ("verify", "--instance", "inst", "--weights", "w.json", "--report-out", "r.json")
+        assert run_cli(*argv) == 5
+        report = json.loads((workdir / "r.json").read_text())
+        values = [report["residual1"], report["residual2"], *report["identity_checks"].values()]
+        assert len(values) == 6 and all(v == math.inf for v in values)
 
     def test_ill_conditioned_layers_exit_5(self, workdir, capsys):
         # expm(-W1 X2) of this instance is near-singular at the default alpha:

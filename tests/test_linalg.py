@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import tempfile
 import threading
@@ -218,7 +219,7 @@ class TestInverse:
             a = random_matrix(dim, seed=dim, kind=kind)
             if kind == "real-gaussian":
                 a = a.real.copy()
-            inv = linalg.inverse(a, linalg.lu_factor(a))
+            inv = linalg.inverse(linalg.lu_factor(a))
             ref = linalg.inverse(a)
             assert inv.dtype == ref.dtype == a.dtype
             assert inv.tobytes() == ref.tobytes()
@@ -228,7 +229,7 @@ class TestInverse:
         with pytest.raises(errors.NearSingularError) as fresh:
             linalg.inverse(a)
         with pytest.raises(errors.NearSingularError) as given:
-            linalg.inverse(a, linalg.lu_factor(a))
+            linalg.inverse(linalg.lu_factor(a))
         assert given.value.rcond == fresh.value.rcond == linalg.lu_factor(a).rcond
 
 
@@ -378,12 +379,23 @@ class TestMatrixJson:
             ]),
             np.eye(3),
         ):
-            # reference encoder: one Python float pair per entry, row by row
-            entries = [[[float(v.real), float(v.imag)] for v in row] for row in a]
-            expected = json.dumps({"dim": a.shape[0], "entries": entries}) + "\n"
+            pairs = np.stack((a.real, a.imag), axis=-1)
             linalg.save_matrix(path, a)
-            assert path.read_bytes() == expected.encode("utf-8")
-            assert_array_equal(linalg.load_matrix(path), a)
+            text = path.read_text(encoding="utf-8")
+            # json.loads gives the reference bits, -0.0 included
+            obj = json.loads(text)
+            assert obj["dim"] == a.shape[0]
+            assert np.array(obj["entries"]).tobytes() == pairs.tobytes()
+            # one line, no whitespace
+            assert text.endswith("\n") and re.search(r"\s", text[:-1]) is None
+            # every float has the shortest round-trip digits, those of repr
+            tokens = re.findall(r"-?\d[\d.]*(?:e[-+]?\d+)?", text.split('"entries":', 1)[1])
+            assert len(tokens) == pairs.size
+            for token in tokens:
+                assert significant_digits(token) == significant_digits(repr(float(token)))
+            # and the decoder gives those bits too
+            linalg._decoded.clear()
+            assert linalg.load_matrix(path).tobytes() == linalg.cmatrix(a).tobytes()
 
     @pytest.mark.parametrize("indent", [None, 2])
     def test_save_json_bytes_match_json_dump(self, tmp_path, indent):
@@ -403,6 +415,13 @@ class TestMatrixJson:
         linalg.save_matrix(p1, a)
         linalg.save_matrix(p2, a)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def significant_digits(token: str) -> str:
+    """The significant digits of a JSON number: no sign, point, exponent,
+    or leading and trailing zeros."""
+    mantissa = token.lstrip("-").split("e")[0].replace(".", "")
+    return mantissa.strip("0")
 
 
 @st.composite

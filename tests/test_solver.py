@@ -417,6 +417,26 @@ class TestVerifyRobustness:
         with pytest.raises(ValueError, match="^learning_rate must be positive and finite"):
             experiment.ExperimentConfig(dim=3, learning_rate=huge)
 
+    @pytest.mark.parametrize(
+        "call, argument",
+        [
+            (lambda inst, w, big: solver.solve_three_layer(inst, alpha=big), "alpha"),
+            (lambda inst, w, big: solver.verify(w, inst, tol=big), "tol"),
+            (lambda inst, w, big: experiment.ExperimentConfig(dim=3, learning_rate=big),
+             "learning_rate"),
+            (lambda inst, w, big: experiment.ExperimentConfig(dim=-big), "dim"),
+            (lambda inst, w, big: solver.random_instance(-big, 1), "dim"),
+        ],
+        ids=["solve-alpha", "verify-tol", "learning_rate", "config-dim", "random_instance-dim"],
+    )
+    def test_an_integer_too_long_to_print_is_named(self, call, argument):
+        # repr of an integer past 4,300 digits raises Python's own
+        # ValueError, which names no argument; the message gives its size
+        inst = admitted_instance(2, seed=1)
+        w = solver.solve_three_layer(inst)
+        with pytest.raises(ValueError, match=f"^{argument} must .*int of 5001 digits$"):
+            call(inst, w, 10**5000)
+
     def test_weights_keep_alpha_as_a_float(self):
         w = solver.solve_three_layer(admitted_instance(2, seed=1), alpha=2)
         assert type(w.alpha) is float and w.alpha == 2.0

@@ -236,6 +236,24 @@ def test_lapack_handles_are_looked_up_in_linalg_only(path):
     assert lapack_lookups(tree) == [], f"{path.name}: get_lapack_funcs (lines)"
 
 
+def test_the_check_sees_an_orjson_import():
+    tree = ast.parse(
+        "import orjson\nimport orjson as fast\nfrom orjson import dumps\n"
+        "import json\nimport orjsonx\ndef f():\n    import orjson\n"
+    )
+    assert imports_of(ast.walk(tree), "orjson") == [1, 2, 3, 7]
+
+
+# one encoder choice: the matrix and weights files go through linalg's
+# orjson writer, and every other module writes with the stdlib
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "linalg.py"], ids=lambda p: p.name
+)
+def test_orjson_is_imported_in_linalg_only(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert imports_of(ast.walk(tree), "orjson") == [], f"{path.name}: orjson imports (lines)"
+
+
 def test_the_check_sees_a_second_finite_test():
     tree = ast.parse(
         "import math\nimport numpy\nfrom numpy import isfinite\n"
