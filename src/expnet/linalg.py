@@ -1,7 +1,8 @@
 """Dense linear algebra: validated matrix values, LU with condition
 estimation, complex Schur decomposition, reproducible Gaussian sampling,
-and the repo-wide matrix JSON format, whose readers reuse a recently
-decoded file text (see :func:`load_decoded`).
+and the repo-wide matrix JSON format, which orjson writes and reads (the
+standard library reads what orjson refuses) and whose readers reuse a
+recently decoded file text (see :func:`load_decoded`).
 
 Matrices are plain ``numpy.ndarray`` values. :func:`cmatrix` is the
 validating constructor of complex128 matrices; it returns a read-only
@@ -450,7 +451,16 @@ def _remember(key, value) -> None:
 
 
 def load_decoded(path, kind: str, decode):
-    """``decode(json.loads(text))`` of the file at ``path``.
+    """``decode`` of the JSON value of the file at ``path``: the one reader
+    of matrix and weights files.
+
+    orjson parses the text, four to five times faster than ``json.loads``
+    and to the same float bits. Text it refuses goes to ``json.loads``,
+    which reads ``NaN``, ``Infinity`` and numbers past float range for
+    ``decode`` to refuse by name, and raises its own JSONDecodeError on
+    malformed text. Nesting too deep for ``json.loads``, or for the repr
+    of a refused value in ``decode``'s message, raises MatrixFormatError.
+    orjson reads an integer past 64 bits as a float.
 
     The file is read on every call, and decoded unless a value of this
     ``kind`` for the same text is among the last ``DECODE_MEMO_SIZE``
@@ -463,7 +473,14 @@ def load_decoded(path, kind: str, decode):
         if value is not None:
             _decoded.move_to_end(key)
             return value
-    value = decode(json.loads(text))
+    try:
+        try:
+            obj = orjson.loads(text)
+        except orjson.JSONDecodeError:
+            obj = json.loads(text)
+        value = decode(obj)
+    except RecursionError:  # json.loads, or the repr of a refused value
+        raise MatrixFormatError(f"{path} nests too deeply to decode") from None
     _remember(key, value)
     return value
 

@@ -239,6 +239,30 @@ class TestSolveVerifyEval:
         assert run_cli("verify", "--instance", "inst", "--weights", "w.json") == 2
         assert "alpha must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["1e400", "-Infinity"])
+    def test_non_standard_alpha_weights_exit_2(self, workdir, capsys, token):
+        # orjson refuses these tokens; json.loads reads them, and the
+        # weights record refuses the value
+        run_cli("gen", "--dim", "2", "--seed", "3", "--out", "inst")
+        assert run_cli("solve", "--instance", "inst") == 0
+        weights = json.loads((workdir / "inst/weights.json").read_text())
+        body = json.dumps({**weights, "alpha": "ALPHA"}).replace('"ALPHA"', token)
+        (workdir / "w.json").write_text(body)
+        assert run_cli("verify", "--instance", "inst", "--weights", "w.json") == 2
+        assert "alpha must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("inner", ["", "NaN"], ids=["plain", "around-nan"])
+    def test_deeply_nested_alpha_weights_exit_4(self, workdir, capsys, inner):
+        run_cli("gen", "--dim", "2", "--seed", "3", "--out", "inst")
+        assert run_cli("solve", "--instance", "inst") == 0
+        weights = json.loads((workdir / "inst/weights.json").read_text())
+        deep = "[" * 100_000 + inner + "]" * 100_000
+        body = json.dumps({**weights, "alpha": "ALPHA"}).replace('"ALPHA"', deep)
+        (workdir / "w.json").write_text(body)
+        assert run_cli("verify", "--instance", "inst", "--weights", "w.json") == 4
+        err = capsys.readouterr().err
+        assert err == "error [MatrixFormatError]: w.json nests too deeply to decode\n"
+
     @pytest.mark.parametrize("layer", ["w1", "w2", "w3"])
     def test_eval_overflow_exit_5(self, workdir, capsys, layer):
         # the forward map overflows: exit 5 and no output file, never a
@@ -420,16 +444,59 @@ class TestMatrixFunctions:
             '{"dim": 1.0, "entries": [[[1.0, 0.0]]]}',
             '{"dim": true, "entries": [[[1.0, 0.0]]]}',
             '{"dim": 2, "entries": [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}',
+            '{"dim": 1, "entries": [[[1e400, 0.0]]]}',
+            '{"dim": 1, "entries": [[[0.0, -Infinity]]]}',
+            # nested past the stack: orjson reads any depth, and the format
+            # check (or the repr of a refused dim) refuses it; json.loads,
+            # which alone reads the NaN, runs out of stack
+            "[" * 100_000 + "]" * 100_000,
+            '{"dim": 2, "entries": ' + "[" * 2000 + "]" * 2000 + "}",
+            '{"dim": ' + "[" * 100_000 + "]" * 100_000 + ', "entries": []}',
+            "[" * 100_000 + "NaN" + "]" * 100_000,
         ],
         ids=[
             "string-entry", "scalar-entries", "triple", "no-dim", "list", "nan", "order-0",
-            "string-dim", "float-dim", "bool-dim", "ragged",
+            "string-dim", "float-dim", "bool-dim", "ragged", "1e400", "-infinity",
+            "deep-array", "deep-entries", "deep-dim", "deep-nan",
         ],
     )
     def test_malformed_matrix_file_exit_4(self, workdir, capsys, body):
         (workdir / "m.json").write_text(body)
         assert run_cli("expm", "--in", "m.json") == 4
-        assert "error [MatrixFormatError]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error [MatrixFormatError]") and err.count("\n") == 1
+
+    def test_deeply_nested_file_exits_4_in_a_fresh_process(self, workdir):
+        (workdir / "m.json").write_text("[" * 100_000 + "NaN" + "]" * 100_000)
+        src = pathlib.Path(cli.__file__).parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "expnet", "expm", "--in", "m.json"],
+            capture_output=True, text=True, cwd=workdir,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 4
+        assert result.stderr == "error [MatrixFormatError]: m.json nests too deeply to decode\n"
+
+    def test_integer_entries_past_64_bits_read_as_floats(self, workdir, capsys):
+        # orjson reads these literals as the floats they round to; json.loads
+        # kept them as integers, which made an object array the format refused
+        big = (2**64, 10**20 + 1, -(2**63) - 1)
+        (workdir / "m.json").write_text(
+            f'{{"dim": 2, "entries": [[[{big[0]}, 0], [0, 0]], [[{big[1]}, {big[2]}], [1, 0]]]}}'
+        )
+        expected = linalg.cmatrix([[float(big[0]), 0], [float(big[1]) + 1j * float(big[2]), 1]])
+        assert linalg.load_matrix(workdir / "m.json").tobytes() == expected.tobytes()
+        assert run_cli("expm", "--in", "m.json") == 5  # read, then too large for expm
+        assert "error [OverflowError]" in capsys.readouterr().err
+
+    def test_dim_past_64_bits_is_not_an_integer(self, workdir, capsys):
+        # orjson reads the literal as a float, which is refused as a dim
+        (workdir / "m.json").write_text(
+            '{"dim": 18446744073709551616, "entries": [[[1.0, 0.0]]]}'
+        )
+        assert run_cli("expm", "--in", "m.json") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error [MatrixFormatError]: matrix JSON 'dim' must be an integer")
 
     @pytest.mark.parametrize(
         "edit, error",

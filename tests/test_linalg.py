@@ -335,6 +335,12 @@ class TestSampling:
         assert abs(np.var(sample.imag) - 1.0) < 0.1
 
 
+SPECIAL_VALUES = np.array([  # signed zeros, subnormals, the ends of the float range
+    [complex(-0.0, 5e-324), complex(1e308, -1e308)],
+    [complex(-1e308, 0.0), complex(2.5e-310, -0.0)],
+])
+
+
 class TestMatrixJson:
     def test_roundtrip_exact(self, tmp_path, decodes):
         a = random_matrix(4, seed=77)
@@ -371,14 +377,7 @@ class TestMatrixJson:
 
     def test_file_bytes_are_compact_json(self, tmp_path):
         path = tmp_path / "m.json"
-        for a in (
-            random_matrix(32, seed=6),
-            np.array([  # signed zeros, subnormals, the ends of the float range
-                [complex(-0.0, 5e-324), complex(1e308, -1e308)],
-                [complex(-1e308, 0.0), complex(2.5e-310, -0.0)],
-            ]),
-            np.eye(3),
-        ):
+        for a in (random_matrix(32, seed=6), SPECIAL_VALUES, np.eye(3)):
             pairs = np.stack((a.real, a.imag), axis=-1)
             linalg.save_matrix(path, a)
             text = path.read_text(encoding="utf-8")
@@ -415,6 +414,65 @@ class TestMatrixJson:
         linalg.save_matrix(p1, a)
         linalg.save_matrix(p2, a)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestReader:
+    """load_decoded parses with orjson, and with json.loads only the text
+    orjson refuses."""
+
+    @staticmethod
+    def write_files(where):
+        """Matrix files at d = 1..32 and of SPECIAL_VALUES, and weights
+        files at d = 2, 8 and 32, as the package writes them."""
+        matrices = [random_matrix(d, seed=100 + d) for d in range(1, 33)] + [SPECIAL_VALUES]
+        paths = []
+        for k, a in enumerate(matrices):
+            paths.append(("matrix", where / f"m{k}.json"))
+            linalg.save_matrix(paths[-1][1], a)
+        for d in (2, 8, 32):
+            paths.append(("weights", where / f"w{d}.json"))
+            weights = solver.solve_three_layer(solver.random_instance(d, 3))
+            solver.save_weights(paths[-1][1], weights)
+        return paths
+
+    @staticmethod
+    def bits(value):
+        if isinstance(value, solver.ThreeLayerWeights):
+            return [np.array(value.alpha).tobytes()] + [
+                getattr(value, name).tobytes() for name in ("w1", "w2", "w3", "z")
+            ]
+        return [value.tobytes()]
+
+    def test_gives_the_bits_of_json_loads(self, tmp_path, decodes):
+        paths = self.write_files(tmp_path)
+        linalg._decoded.clear()
+        for kind, path in paths:
+            load, decode = {
+                "matrix": (linalg.load_matrix, linalg.matrix_from_json),
+                "weights": (solver.load_weights, solver.weights_from_json),
+            }[kind]
+            reference = decode(json.loads(path.read_text(encoding="utf-8")))
+            assert self.bits(load(path)) == self.bits(reference), path.name
+        # every load ran the decoder: none was served from the memo
+        assert decodes["n"] == 2 * (33 + 3 * 4)
+
+    def test_clean_files_do_not_reach_json_loads(self, tmp_path, decodes, monkeypatch):
+        paths = self.write_files(tmp_path)
+        linalg._decoded.clear()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads called")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        for kind, path in paths:
+            load = linalg.load_matrix if kind == "matrix" else solver.load_weights
+            load(path)
+        assert decodes["n"] == 33 + 3 * 4
+        # and text orjson refuses does reach it
+        nan = tmp_path / "nan.json"
+        nan.write_text('{"dim": 1, "entries": [[[NaN, 0.0]]]}')
+        with pytest.raises(AssertionError, match="json.loads called"):
+            linalg.load_matrix(nan)
 
 
 def significant_digits(token: str) -> str:
@@ -521,8 +579,7 @@ class TestDecodeMemo:
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(a=finite_matrices())
-    @example(a=np.array([[complex(-0.0, 5e-324), complex(1e308, -1e308)],
-                         [complex(-1e308, 0.0), complex(2.5e-310, -0.0)]]))
+    @example(a=SPECIAL_VALUES)
     @example(a=np.array([[complex(1.7976931348623157e308, -2.2250738585072014e-308)]]))
     def test_decoding_what_save_matrix_wrote_gives_its_bits(self, a):
         # the premise of keeping cmatrix(a) for the text save_matrix wrote
@@ -530,4 +587,6 @@ class TestDecodeMemo:
             path = Path(where) / "m.json"
             linalg.save_matrix(path, a)
             decoded = linalg.matrix_from_json(json.loads(path.read_text()))
-        assert decoded.tobytes() == linalg.cmatrix(a).tobytes()
+            linalg._decoded.clear()
+            read = linalg.load_matrix(path)  # through the orjson reader
+        assert decoded.tobytes() == read.tobytes() == linalg.cmatrix(a).tobytes()

@@ -129,23 +129,47 @@ def lapack_lookups(tree: ast.Module) -> list:
     return sorted(lines)
 
 
+def nodes_outside(tree: ast.Module, function=None):
+    """The nodes of ``tree`` but those of the function named ``function``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
 def isfinite_uses(tree: ast.Module, allowed=None) -> list:
     """Lines that name numpy's ``isfinite`` (an ``isfinite`` attribute of
     anything but ``math``, or the name imported from numpy), outside the
     function named ``allowed``."""
     lines = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.FunctionDef) and node.name == allowed:
-            continue
+    for node in nodes_outside(tree, allowed):
         if isinstance(node, ast.Attribute) and node.attr == "isfinite":
             if not (isinstance(node.value, ast.Name) and node.value.id == "math"):
                 lines.add(node.lineno)
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
             if any(alias.name == "isfinite" for alias in node.names):
                 lines.add(node.lineno)
-        stack.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+JSON_READERS = {"json": ("load", "loads"), "orjson": ("loads",)}
+
+
+def json_reader_uses(tree: ast.Module, allowed=None) -> list:
+    """Lines that name a JSON reader of ``JSON_READERS`` (an attribute of
+    its module, or the name imported from it), outside the function named
+    ``allowed``."""
+    lines = set()
+    for node in nodes_outside(tree, allowed):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.attr in JSON_READERS.get(node.value.id, ()):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module in JSON_READERS:
+            if any(alias.name in JSON_READERS[node.module] for alias in node.names):
+                lines.add(node.lineno)
     return sorted(lines)
 
 
@@ -252,6 +276,27 @@ def test_the_check_sees_an_orjson_import():
 def test_orjson_is_imported_in_linalg_only(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert imports_of(ast.walk(tree), "orjson") == [], f"{path.name}: orjson imports (lines)"
+
+
+def test_the_check_sees_a_second_json_reader():
+    tree = ast.parse(
+        "import json\nimport orjson\nfrom json import loads\n"
+        "def load_decoded(text):\n    return orjson.loads(text) or json.loads(text)\n"
+        "def f(text):\n    return json.loads(text)\n"
+        "g = lambda t: orjson.loads(t)\nh = json.load\nfrom orjson import dumps, loads\n"
+        "i = json.dumps\nj = orjson.load\n"
+    )
+    assert json_reader_uses(tree, "load_decoded") == [3, 7, 8, 9, 10]
+    assert json_reader_uses(tree) == [3, 5, 7, 8, 9, 10]
+
+
+# one reader: matrix and weights files are parsed in linalg.load_decoded
+# alone, so none bypasses its orjson path, its fallback or its memo
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_json_is_read_in_load_decoded_only(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = "load_decoded" if path.name == "linalg.py" else None
+    assert json_reader_uses(tree, allowed) == [], f"{path.name}: json readers (lines)"
 
 
 def test_the_check_sees_a_second_finite_test():
