@@ -3,7 +3,8 @@
 Numerical failure modes are structured errors, never silent garbage,
 with one class per failure so callers (and the CLI exit-code table) can
 tell them apart: a matrix at or below an rcond floor, in ``inverse``,
-``logm`` or the descent's sigma(W X2), raises :class:`NearSingularError`.
+``logm``, the solve's layer gates or the descent's sigma(W X2), raises
+:class:`NearSingularError`, always from ``linalg.require_nonsingular``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ class MatrixFormatError(ExpnetError, ValueError):
 
 
 class NearSingularError(ExpnetError):
-    """A matrix is at or below its rcond floor, or has a zero eigenvalue.
+    """A matrix is at or below its rcond floor (a zero eigenvalue gives
+    rcond 0).
 
     Carries the offending estimate in ``rcond``.
     """

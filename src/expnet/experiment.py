@@ -43,6 +43,7 @@ from .errors import (
 from .linalg import (
     _lu_factor,
     _lu_solve,
+    _shown,
     integer_value,
     inverse,
     require_finite,
@@ -122,7 +123,7 @@ def get_activation(name: str) -> Activation:
         return ACTIVATIONS[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(
-            f"unknown activation {name!r}; choices: {sorted(ACTIVATIONS)}"
+            f"unknown activation {_shown(name)}; choices: {sorted(ACTIVATIONS)}"
         ) from None
 
 

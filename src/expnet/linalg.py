@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import numbers
+import reprlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -117,17 +118,39 @@ def integer_value(value, rule: str, minimum: float = -math.inf) -> int:
     return int(value)
 
 
+class _ShortRepr(reprlib.Repr):
+    """reprlib's repr: six items of a list, three levels deep, 30
+    characters of a string and 60 of another value. An integer is shown
+    in full up to 300 digits; past that its ``repr`` is long, and past
+    4,300 digits raises ValueError, so it is shown by its sign, type and
+    digit count."""
+
+    def __init__(self):
+        super().__init__()
+        self.maxlevel, self.maxother = 3, 60
+
+    def repr_int(self, x, level):
+        if abs(x) < 10**300:
+            return repr(x)
+        magnitude = abs(x)
+        digits = int(math.log10(magnitude)) + 1  # may be one off near a power of 10
+        digits += (magnitude >= 10**digits) - (magnitude < 10 ** (digits - 1))
+        sign = "negative " if x < 0 else ""
+        return f"{sign}{type(x).__name__} of {digits} digits"
+
+
+_SHORT_REPR = _ShortRepr()
+
+#: Longest text :func:`_shown` gives.
+SHOWN_LIMIT = 400
+
+
 def _shown(value) -> str:
-    """``repr(value)`` for an error message; for an integer of more than
-    300 digits, whose ``repr`` is long and past 4,300 digits raises
-    ValueError, its sign, type and digit count."""
-    if not isinstance(value, int) or abs(value) < 10**300:
-        return repr(value)
-    magnitude = abs(value)
-    digits = int(math.log10(magnitude)) + 1  # may be one off near a power of 10
-    digits += (magnitude >= 10**digits) - (magnitude < 10 ** (digits - 1))
-    sign = "negative " if value < 0 else ""
-    return f"{sign}{type(value).__name__} of {digits} digits"
+    """A refused value for an error message: the repr of
+    :class:`_ShortRepr`, cut to ``SHOWN_LIMIT`` characters, so a value read
+    from a file prints one short line however large or deep it is."""
+    text = _SHORT_REPR.repr(value)
+    return text if len(text) <= SHOWN_LIMIT else text[: SHOWN_LIMIT - 3] + "..."
 
 
 def _check_square(a: np.ndarray) -> None:
@@ -157,7 +180,7 @@ class LuFactors:
     rcond: float
 
 
-_ROUTINES = ("getrf", "gecon", "getrs", "trtrs", "lange", "gees")
+_ROUTINES = ("getrf", "gecon", "getrs", "trtrs", "trcon", "lange", "gees")
 
 
 @functools.cache
@@ -323,7 +346,7 @@ def gaussian_entries(rng: np.random.Generator, dim: int, kind: str) -> np.ndarra
         return z[..., 0] + 1j * z[..., 1]
     if kind == "real-gaussian":
         return rng.standard_normal((dim, dim)) + 0j
-    raise ValueError(f"unknown kind {kind!r}, expected one of {GAUSSIAN_KINDS}")
+    raise ValueError(f"unknown kind {_shown(kind)}, expected one of {GAUSSIAN_KINDS}")
 
 
 # -- matrix JSON format (shared repo-wide) ----------------------------------
@@ -354,7 +377,7 @@ def matrix_from_json(obj: dict) -> CMatrix:
         raise MatrixFormatError("matrix JSON must be an object with 'dim' and 'entries' fields")
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool):
-        raise MatrixFormatError(f"matrix JSON 'dim' must be an integer, got {dim!r}")
+        raise MatrixFormatError(f"matrix JSON 'dim' must be an integer, got {_shown(dim)}")
     try:
         pairs = np.asarray(obj["entries"])
     except ValueError:  # ragged nesting
@@ -458,9 +481,8 @@ def load_decoded(path, kind: str, decode):
     and to the same float bits. Text it refuses goes to ``json.loads``,
     which reads ``NaN``, ``Infinity`` and numbers past float range for
     ``decode`` to refuse by name, and raises its own JSONDecodeError on
-    malformed text. Nesting too deep for ``json.loads``, or for the repr
-    of a refused value in ``decode``'s message, raises MatrixFormatError.
-    orjson reads an integer past 64 bits as a float.
+    malformed text. Nesting too deep for ``json.loads`` raises
+    MatrixFormatError. orjson reads an integer past 64 bits as a float.
 
     The file is read on every call, and decoded unless a value of this
     ``kind`` for the same text is among the last ``DECODE_MEMO_SIZE``
@@ -479,7 +501,7 @@ def load_decoded(path, kind: str, decode):
         except orjson.JSONDecodeError:
             obj = json.loads(text)
         value = decode(obj)
-    except RecursionError:  # json.loads, or the repr of a refused value
+    except RecursionError:  # json.loads of deeply nested text
         raise MatrixFormatError(f"{path} nests too deeply to decode") from None
     _remember(key, value)
     return value

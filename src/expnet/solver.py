@@ -39,6 +39,7 @@ from .errors import (
 )
 from .linalg import (
     CMatrix,
+    _shown,
     cmatrix,
     gaussian_entries,
     integer_value,
@@ -63,10 +64,12 @@ from .matfuncs import PRINCIPAL, expm, logm
 ADMISSION_RCOND = 1e-3
 
 #: rcond of expm(-W1 X2), whose conditioning expm(W1 X1) and expm(W1 X2)
-#: share, at or below which solve_three_layer refuses the instance. At
-#: alpha = e on 1,350 random instances (d 2 to 32) that no test uses, it
-#: refused the two misses of DEFAULT_TOLERANCE (rcond 1.4e-17, 2.6e-12) and
-#: two others; the worst accepted residual was 6.9e-8.
+#: share, and of the outer exponential expm(alpha/(alpha-1) L), at or
+#: below which solve_three_layer refuses the instance. At alpha = e on
+#: 1,350 random instances (d 2 to 32) that no test uses, the first refused
+#: the two misses of DEFAULT_TOLERANCE (rcond 1.4e-17, 2.6e-12) and two
+#: others; the worst accepted residual was 6.9e-8. Near alpha = 1 the
+#: second refuses every miss of the battery (see solve_three_layer).
 LAYER_RCOND_FLOOR = 1e-8
 
 #: Default interpolation scale (ln(alpha) = 1).
@@ -248,8 +251,18 @@ def solve_three_layer(
         If some rcond of (X1, X2, Y1, Y2, X1 - X2) is at or below
         ``ADMISSION_RCOND``.
     NearSingularError
-        If the rcond of expm(-W1 X2) is at or below ``LAYER_RCOND_FLOOR``:
-        the weights would miss the labels.
+        If the rcond of expm(-W1 X2), or of the outer exponential
+        expm(alpha/(alpha-1) L) in W3, is at or below
+        ``LAYER_RCOND_FLOOR``: the weights would miss the labels. The
+        second gate refuses most solves at alpha within 0.1 of 1, where
+        alpha/(alpha-1) is large and the outer exponential magnifies the
+        error with which the forward map rebuilds its exponent at X1.
+        Also from :func:`~expnet.matfuncs.logm`, for a near-singular
+        Y1^-1 Y2.
+    IllConditionedError, ConvergenceError
+        From :func:`~expnet.matfuncs.logm` of Y1^-1 Y2.
+    OverflowError
+        If an exponential or a constructed weight overflows.
     ValueError
         For alpha <= 0, a non-finite alpha or |alpha - 1| < MIN_ALPHA_GAP.
     """
@@ -269,10 +282,12 @@ def solve_three_layer(
     with np.errstate(over="ignore", invalid="ignore"):
         e = expm(-(w1 @ inst.x2))
         w2 = log_m @ e / (1.0 - alpha)
-        w3 = np.asarray(inst.y1) @ expm((alpha / (alpha - 1.0)) * log_m)
+        outer = expm((alpha / (alpha - 1.0)) * log_m)
+        w3 = np.asarray(inst.y1) @ outer
     for name, w in (("w1", w1), ("w2", w2), ("w3", w3)):
         require_finite(w, f"constructed {name}", OverflowError)
-    require_nonsingular(lu_factor(e).rcond, LAYER_RCOND_FLOOR, "expm(-W1 X2)")
+    for name, layer in (("expm(-W1 X2)", e), ("expm(alpha/(alpha-1) L)", outer)):
+        require_nonsingular(lu_factor(layer).rcond, LAYER_RCOND_FLOOR, name)
     return ThreeLayerWeights(w1=w1, w2=w2, w3=w3, alpha=alpha, z=z)
 
 
@@ -431,7 +446,7 @@ def weights_from_json(obj: dict) -> ThreeLayerWeights:
         )
     alpha = obj["alpha"]
     if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
-        raise MatrixFormatError(f"weights JSON 'alpha' must be a number, got {alpha!r}")
+        raise MatrixFormatError(f"weights JSON 'alpha' must be a number, got {_shown(alpha)}")
     w1, w2, w3, z = (matrix_from_json(obj[name]) for name in _WEIGHT_FIELDS[1:])
     return ThreeLayerWeights(w1=w1, w2=w2, w3=w3, alpha=alpha, z=z)
 

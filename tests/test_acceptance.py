@@ -1,10 +1,10 @@
 """Acceptance gate: one test per shipped claim, each printing a PASS line.
 
-Criteria 1-3 share a module-scoped battery of solved random instances;
-the rest build their own fixtures. Every expected value comes from an
-independent oracle (truncated Taylor exponential, closed-form Jordan
-block logarithm, central finite differences, hand-derived scalar case,
-mpmath at 50 digits), never from the implementation under test.
+Criteria 1-3, 9 and 10 share a module-scoped battery of solved random
+instances; the rest build their own fixtures. Every expected value comes
+from an independent oracle (truncated Taylor exponential, closed-form
+Jordan block logarithm, central finite differences, hand-derived scalar
+case, mpmath at 50 digits), never from the implementation under test.
 """
 
 import math
@@ -29,6 +29,7 @@ from conftest import (
 DIMS = (2, 4, 8, 16)
 PER_DIM = 100
 BATTERY_ALPHA = math.e
+NEAR_ONE_ALPHAS = (0.9, 0.95, 1.05, 1.1)
 
 
 def _announce(name, ok, detail):
@@ -347,4 +348,31 @@ def test_criterion_9_one_layer_solves_one_equation(battery):
         worst_fit <= 1e-10 and least_miss >= 0.5,
         f"worst fit at pair 1 {worst_fit:.1e}, least miss at pair 2 "
         f"{least_miss:.2f}, median miss {medians}",
+    )
+
+
+def test_criterion_10_alpha_near_one_fits_or_refuses(battery):
+    # Near alpha = 1 the third layer expm(alpha/(alpha-1) L) magnifies the
+    # error with which the forward map rebuilds its exponent at X1: most
+    # battery instances cannot be fit in float there. Each solve must
+    # pass verify at 1e-6 or raise NearSingularError, never return a miss.
+    rows, _ = battery
+    refused, misses, worst = [], [], 0.0
+    for alpha in NEAR_ONE_ALPHAS:
+        count = 0
+        for per_dim in rows.values():
+            for (inst, _, _) in per_dim:
+                report, residual = _solved_residual(inst, alpha)
+                if report is None:
+                    count += 1
+                elif residual > 1e-6:
+                    misses.append((inst.dim, alpha, residual))
+                else:
+                    worst = max(worst, residual)
+        refused.append(count)
+    _announce(
+        "10 alpha-near-one",
+        not misses,
+        f"alpha in {NEAR_ONE_ALPHAS}: refused {refused} of {len(DIMS) * PER_DIM}, "
+        f"accepted misses {misses[:5]} ({len(misses)}), worst accepted {worst:.2e}",
     )

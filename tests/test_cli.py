@@ -251,8 +251,17 @@ class TestSolveVerifyEval:
         assert run_cli("verify", "--instance", "inst", "--weights", "w.json") == 2
         assert "alpha must be positive and finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("inner", ["", "NaN"], ids=["plain", "around-nan"])
-    def test_deeply_nested_alpha_weights_exit_4(self, workdir, capsys, inner):
+    @pytest.mark.parametrize(
+        "inner, message",
+        [
+            # orjson reads any depth, and the refusal shows three levels
+            ("", "weights JSON 'alpha' must be a number, got [[[[...]]]]"),
+            # only json.loads reads the NaN, and it runs out of stack
+            ("NaN", "w.json nests too deeply to decode"),
+        ],
+        ids=["plain", "around-nan"],
+    )
+    def test_deeply_nested_alpha_weights_exit_4(self, workdir, capsys, inner, message):
         run_cli("gen", "--dim", "2", "--seed", "3", "--out", "inst")
         assert run_cli("solve", "--instance", "inst") == 0
         weights = json.loads((workdir / "inst/weights.json").read_text())
@@ -260,8 +269,21 @@ class TestSolveVerifyEval:
         body = json.dumps({**weights, "alpha": "ALPHA"}).replace('"ALPHA"', deep)
         (workdir / "w.json").write_text(body)
         assert run_cli("verify", "--instance", "inst", "--weights", "w.json") == 4
-        err = capsys.readouterr().err
-        assert err == "error [MatrixFormatError]: w.json nests too deeply to decode\n"
+        assert capsys.readouterr().err == f"error [MatrixFormatError]: {message}\n"
+
+    def test_long_alpha_list_weights_exit_4_with_a_short_message(self, workdir, capsys):
+        # the full repr of the list would be a 600,000-byte line
+        run_cli("gen", "--dim", "2", "--seed", "3", "--out", "inst")
+        assert run_cli("solve", "--instance", "inst") == 0
+        weights = json.loads((workdir / "inst/weights.json").read_text())
+        (workdir / "w.json").write_text(json.dumps({**weights, "alpha": [0] * 200_000}))
+        capsys.readouterr()
+        argv = ("eval", "--weights", "w.json", "--in", "inst/x1.json", "--out", "fx.json")
+        assert run_cli(*argv) == 4
+        assert capsys.readouterr().err == (
+            "error [MatrixFormatError]: weights JSON 'alpha' must be a number, "
+            "got [0, 0, 0, 0, 0, 0, ...]\n"
+        )
 
     @pytest.mark.parametrize("layer", ["w1", "w2", "w3"])
     def test_eval_overflow_exit_5(self, workdir, capsys, layer):
@@ -326,6 +348,15 @@ class TestSolveVerifyEval:
         assert err.startswith("error [NearSingularError]: expm(-W1 X2)") and err.count("\n") == 1
         assert not (workdir / "inst/weights.json").exists()
         assert not (workdir / "inst/report.json").exists()
+
+    def test_third_layer_near_alpha_one_exits_5(self, workdir, capsys):
+        run_cli("gen", "--dim", "2", "--seed", "25000", "--out", "inst")
+        capsys.readouterr()
+        assert run_cli("solve", "--instance", "inst", "--alpha", "1.01") == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error [NearSingularError]: expm(alpha/(alpha-1) L)")
+        assert err.count("\n") == 1
+        assert not (workdir / "inst/weights.json").exists()
 
     def test_missing_instance_exit_4(self, workdir, capsys):
         assert run_cli("solve", "--instance", "nowhere") == 4
@@ -447,8 +478,8 @@ class TestMatrixFunctions:
             '{"dim": 1, "entries": [[[1e400, 0.0]]]}',
             '{"dim": 1, "entries": [[[0.0, -Infinity]]]}',
             # nested past the stack: orjson reads any depth, and the format
-            # check (or the repr of a refused dim) refuses it; json.loads,
-            # which alone reads the NaN, runs out of stack
+            # check refuses it, showing a refused dim three levels deep;
+            # json.loads, which alone reads the NaN, runs out of stack
             "[" * 100_000 + "]" * 100_000,
             '{"dim": 2, "entries": ' + "[" * 2000 + "]" * 2000 + "}",
             '{"dim": ' + "[" * 100_000 + "]" * 100_000 + ', "entries": []}',
@@ -465,6 +496,15 @@ class TestMatrixFunctions:
         assert run_cli("expm", "--in", "m.json") == 4
         err = capsys.readouterr().err
         assert err.startswith("error [MatrixFormatError]") and err.count("\n") == 1
+
+    def test_long_dim_list_exits_4_with_a_short_message(self, workdir, capsys):
+        # the full repr of the list would be a 600,000-byte line
+        (workdir / "m.json").write_text(json.dumps({"dim": [0] * 200_000, "entries": []}))
+        assert run_cli("expm", "--in", "m.json") == 4
+        assert capsys.readouterr().err == (
+            "error [MatrixFormatError]: matrix JSON 'dim' must be an integer, "
+            "got [0, 0, 0, 0, 0, 0, ...]\n"
+        )
 
     def test_deeply_nested_file_exits_4_in_a_fresh_process(self, workdir):
         (workdir / "m.json").write_text("[" * 100_000 + "NaN" + "]" * 100_000)

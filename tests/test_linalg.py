@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from expnet import errors, linalg, matfuncs, solver
+from expnet import errors, experiment, linalg, matfuncs, solver
 
 from conftest import eigenvalues_reference, matched_distance, random_matrix
 
@@ -243,6 +243,49 @@ class TestRequireNonsingular:
             linalg.require_nonsingular(floor, floor, "thing")
         assert info.value.rcond == floor
         linalg.require_nonsingular(floor * (1 + 2**-52), floor, "thing")
+
+
+class TestShown:
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            ([0] * 200_000, "[0, 0, 0, 0, 0, 0, ...]"),
+            ([[[[[1]]]]], "[[[[...]]]]"),
+            ("x" * 100, "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+            (10**299, repr(10**299)),
+            (-(10**300), "negative int of 301 digits"),
+            ([10**5000], "[int of 5001 digits]"),
+            (complex(1e-300, -2e-300), "(1e-300-2e-300j)"),
+            ({"a": [1, 2.5]}, "{'a': [1, 2.5]}"),
+            (True, "True"),
+        ],
+        ids=[
+            "long-list", "deep-list", "long-string", "299-digits", "301-digits",
+            "nested-huge-int", "complex", "dict", "bool",
+        ],
+    )
+    def test_shows_a_short_repr(self, value, text):
+        assert linalg._shown(value) == text
+
+    def test_cuts_the_text_at_the_limit(self):
+        # six by six by six integers of 300 digits: 65,000 characters
+        text = linalg._shown([[[10**299] * 6] * 6] * 6)
+        assert len(text) == linalg.SHOWN_LIMIT and text.endswith("...")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: linalg.matrix_from_json({"dim": v, "entries": []}),
+            lambda v: solver.weights_from_json(dict.fromkeys(solver._WEIGHT_FIELDS, v)),
+            lambda v: linalg.gaussian_entries(np.random.default_rng(0), 2, v),
+            experiment.get_activation,
+        ],
+        ids=["dim", "alpha", "kind", "activation"],
+    )
+    def test_refused_values_are_shown_short(self, call):
+        with pytest.raises(ValueError, match=re.escape("[0, 0, 0, 0, 0, 0, ...]")) as info:
+            call([0] * 200_000)
+        assert len(str(info.value)) < 200
 
 
 # inputs with structure, extreme scales or repeated eigenvalues, on which

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from expnet import cli, errors, experiment, linalg, matfuncs, solver
@@ -195,6 +196,18 @@ class TestSolveThreeLayer:
             solver.solve_three_layer(inst, alpha=alpha)
         assert info.value.rcond <= solver.LAYER_RCOND_FLOOR
 
+    def test_third_layer_near_alpha_one_is_refused(self, monkeypatch):
+        # at alpha = 1.01 the outer exponential expm(101 L) of this instance
+        # is near-singular, and its weights miss the labels by 1e48
+        inst = admitted_instance(2, seed=25000)
+        name = re.escape("expm(alpha/(alpha-1) L)")
+        with pytest.raises(errors.NearSingularError, match=f"^{name} .* floor") as info:
+            solver.solve_three_layer(inst, alpha=1.01)
+        assert info.value.rcond <= solver.LAYER_RCOND_FLOOR
+        monkeypatch.setattr(solver, "LAYER_RCOND_FLOOR", 0.0)
+        rep = solver.verify(solver.solve_three_layer(inst, alpha=1.01), inst)
+        assert rep.residual1 > 1e40
+
     def test_identity_checks_small(self):
         inst = admitted_instance(5, seed=55)
         rep = solver.verify(solver.solve_three_layer(inst), inst)
@@ -207,8 +220,9 @@ class TestSolveThreeLayer:
     def test_each_instance_matrix_is_factored_once(self, monkeypatch):
         # make_instance factors the five instance matrices; solve and
         # verify each solve Y1^-1 Y2 from Y1's factors, and solve inverts
-        # X1 - X2 from its factors, so only logm's input, the solve's gate
-        # on expm(-W1 X2) and verify's difference_rcond add a factoring
+        # X1 - X2 from its factors, so only the solve's gates on
+        # expm(-W1 X2) and the outer exponential and verify's
+        # difference_rcond add a factoring; logm makes none
         calls = {"lu_factor": 0, "inverse": 0, "lu_solve": 0}
 
         def counted(name, fn):
@@ -219,7 +233,7 @@ class TestSolveThreeLayer:
             return wrapper
 
         lu_factor = counted("lu_factor", linalg.lu_factor)
-        for module in (linalg, solver, matfuncs):
+        for module in (linalg, solver):
             monkeypatch.setattr(module, "lu_factor", lu_factor)
         monkeypatch.setattr(solver, "inverse", counted("inverse", linalg.inverse))
         monkeypatch.setattr(solver, "lu_solve", counted("lu_solve", linalg.lu_solve))
@@ -344,15 +358,99 @@ class TestSolveThreeLayer:
         linalg.schur_decompose,
         linalg.matrix_to_json,
         matfuncs.expm,
+        lambda x: matfuncs.logm(x, 1),
         lambda x: solver.eval_three_layer(solver.solve_three_layer(admitted_instance(2, 88)), x),
     ],
-    ids=["lu_factor", "inverse", "schur_decompose", "matrix_to_json", "expm", "eval_three_layer"],
+    ids=[
+        "lu_factor", "inverse", "schur_decompose", "matrix_to_json", "expm", "logm-branch",
+        "eval_three_layer",
+    ],
 )
 def test_public_calls_take_a_nested_list(call):
     # the input is converted before its shape is checked
     assert repr(call([[1, 0], [0, 1]])) == repr(call(np.eye(2)))
     with pytest.raises(errors.DimensionError):
         call([[1, 0, 0]])
+
+
+#: The instance families the solver's property test draws from.
+FAMILIES = (
+    "gaussian", "x-scaled", "y-scaled", "y2-scaled", "x2-near-x1", "y2-near-y1",
+    "non-normal-quotient", "real", "quotient-near-negative-axis",
+)
+
+
+@st.composite
+def solver_cases(draw):
+    """``(x1, x2, y1, y2, alpha, branch)``: Gaussian quadruples of order
+    1 to 16 reshaped by one of ``FAMILIES``, a scale alpha in {e, 1/2, 2}
+    or log-uniform on [1e-2, 1e2] (less those within ``MIN_ALPHA_GAP`` of
+    1, which the solve refuses before any arithmetic), and a branch in
+    -2..2."""
+    dim = draw(st.sampled_from([1, 2, 3, 4, 8, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (4, dim, dim)
+    x1, x2, y1, y2 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    family = draw(st.sampled_from(FAMILIES))
+    sign = draw(st.sampled_from([-1, 1]))
+    if family == "x-scaled":
+        x1, x2 = x1 * 10.0 ** (3 * sign), x2 * 10.0 ** (3 * sign)
+    elif family == "y-scaled":
+        y1, y2 = y1 * 10.0 ** (6 * sign), y2 * 10.0 ** (6 * sign)
+    elif family == "y2-scaled":
+        y2 = y2 * 10.0 ** (4 * sign)
+    elif family == "x2-near-x1":
+        x2 = x1 + 10.0 ** -draw(st.integers(1, 4)) * x2
+    elif family == "y2-near-y1":
+        y2 = y1 + 10.0 ** -draw(st.integers(1, 6)) * y2
+    elif family == "non-normal-quotient":
+        # Y1^-1 Y2 = S T S^-1 with T triangular and strongly coupled
+        t = np.triu(y2, 1) * 10.0 ** draw(st.integers(0, 3)) + np.diag(np.diag(y2))
+        y2 = y1 @ x2 @ t @ np.linalg.inv(x2)
+    elif family == "real":
+        x1, x2, y1, y2 = x1.real, x2.real, y1.real, y2.real
+    elif family == "quotient-near-negative-axis":
+        # eigenvalues -r e^(i phi) with |phi| <= 1e-2, on either side of the cut
+        phi = rng.uniform(-1e-2, 1e-2, dim)
+        eig = -np.exp(rng.standard_normal(dim) + 1j * phi)
+        y2 = y1 @ x2 @ np.diag(eig) @ np.linalg.inv(x2)
+    alpha = draw(
+        st.one_of(
+            st.sampled_from([math.e, 0.5, 2.0]),
+            st.floats(-2.0, 2.0)
+            .map(lambda e: 10.0**e)
+            .filter(lambda a: abs(a - 1.0) >= solver.MIN_ALPHA_GAP),
+        )
+    )
+    return x1, x2, y1, y2, alpha, draw(st.integers(-2, 2))
+
+
+#: The errors make_instance and solve_three_layer document.
+DOCUMENTED_REFUSALS = (
+    errors.InstanceRejectedError,
+    errors.NearSingularError,
+    errors.IllConditionedError,
+    errors.ConvergenceError,
+    OverflowError,
+    ValueError,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=solver_cases())
+def test_solve_meets_its_contract_or_raises(case):
+    # every solve either interpolates both pairs to 1e-6 or raises a
+    # documented error, without a warning: never silent garbage
+    *matrices, alpha, branch = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            inst = solver.make_instance(*matrices)
+            weights = solver.solve_three_layer(inst, alpha=alpha, branch=branch)
+        except DOCUMENTED_REFUSALS:
+            return
+        rep = solver.verify(weights, inst)
+    assert rep.passed, (rep.residual1, rep.residual2)
 
 
 class TestVerifyRobustness:

@@ -323,3 +323,56 @@ def test_experiment_imports_nothing_from_scipy_linalg():
     path = SOURCE / "experiment.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert scipy_linalg_imports(tree) == [], "experiment.py: scipy.linalg imports (lines)"
+
+
+def calls_of(tree: ast.Module, names, allowed=None) -> list:
+    """Lines that call a function or class named in ``names``, by its name
+    or as an attribute of anything, outside the function named
+    ``allowed``."""
+    lines = set()
+    for node in nodes_outside(tree, allowed):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_a_second_singular_refusal():
+    tree = ast.parse(
+        "from .errors import NearSingularError\nimport expnet\n"
+        "def require_nonsingular(rcond):\n    raise NearSingularError('x', rcond)\n"
+        "def f(rcond):\n    raise NearSingularError('x', rcond)\n"
+        "g = lambda: expnet.errors.NearSingularError('x', 0.0)\n"
+        "h = NearSingularError\nk = isinstance(g, NearSingularError)\n"
+    )
+    assert calls_of(tree, {"NearSingularError"}, "require_nonsingular") == [6, 7]
+    assert calls_of(tree, {"NearSingularError"}) == [4, 6, 7]
+
+
+# one singularity rule: every NearSingularError comes from
+# linalg.require_nonsingular, which compares an rcond with a floor
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_near_singular_error_is_raised_in_require_nonsingular_only(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = "require_nonsingular" if path.name == "linalg.py" else None
+    found = calls_of(tree, {"NearSingularError"}, allowed)
+    assert found == [], f"{path.name}: NearSingularError constructed (lines)"
+
+
+def test_the_check_sees_an_lu_call():
+    tree = ast.parse(
+        "from .linalg import lu_factor\nfrom . import linalg\n"
+        "def logm(a):\n    return lu_factor(a).rcond\n"
+        "def f(a):\n    return linalg._lu_factor(a)\nlu = lu_factor\n"
+    )
+    assert calls_of(tree, {"lu_factor", "_lu_factor"}) == [4, 6]
+
+
+# logm tests for singularity on its Schur factor, so the matrix functions
+# make no LU
+def test_matfuncs_makes_no_lu():
+    path = SOURCE / "matfuncs.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert calls_of(tree, {"lu_factor", "_lu_factor"}) == [], "matfuncs.py: LU calls (lines)"
