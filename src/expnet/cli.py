@@ -36,29 +36,29 @@ from .errors import (
     MaxResampleError,
     NearSingularError,
 )
-from .linalg import GAUSSIAN_KINDS, load_matrix, save_json, save_matrix
+from .linalg import GAUSSIAN_KINDS, _shown, load_matrix, save_json, save_matrix
 from .matfuncs import PRINCIPAL, expm, logm
 
 
 def parse_seeds(text: str) -> tuple:
     """Parse a seed list: "7", "1,2,5", "1..10", or mixes like "1..3,9".
 
-    Only the syntax is checked here; :class:`~expnet.experiment.ExperimentConfig`
-    refuses a negative seed.
+    Only the syntax is checked here (ValueError naming ``--seeds``);
+    :class:`~expnet.experiment.ExperimentConfig` refuses a negative seed.
     """
     seeds = []
     for token in str(text).split(","):
-        token = token.strip()
-        if not token:
-            raise ValueError(f"empty seed token in {text!r}")
-        if ".." in token:
-            lo_text, _, hi_text = token.partition("..")
-            lo, hi = int(lo_text), int(hi_text)
+        lo_text, dots, hi_text = token.partition("..")
+        try:  # int() refuses an empty token and one past Python's digit limit
+            lo = int(lo_text)
+            hi = int(hi_text) if dots else lo
             if hi < lo:
-                raise ValueError(f"descending seed range {token!r}")
-            seeds.extend(range(lo, hi + 1))
-        else:
-            seeds.append(int(token))
+                raise ValueError
+        except ValueError:
+            raise ValueError(
+                f"--seeds must be integers and ascending ranges lo..hi, got {_shown(text)}"
+            ) from None
+        seeds.extend(range(lo, hi + 1))
     return tuple(seeds)
 
 
@@ -98,7 +98,7 @@ def cmd_solve(args) -> int:
     weights_path = args.weights_out or os.path.join(base, "weights.json")
     report_path = args.report_out or os.path.join(base, "report.json")
     solver.save_weights(weights_path, weights)
-    save_json(report_path, solver.report_to_json(report), indent=2)
+    save_json(report_path, solver.report_to_json(report))
     print(f"wrote {weights_path}")
     print(f"wrote {report_path}")
     return _report_exit_code(report)
@@ -109,7 +109,7 @@ def cmd_verify(args) -> int:
     weights = solver.load_weights(args.weights)
     report = solver.verify(weights, inst, tol=args.tol)
     if args.report_out:
-        save_json(args.report_out, solver.report_to_json(report), indent=2)
+        save_json(args.report_out, solver.report_to_json(report))
     return _report_exit_code(report)
 
 
@@ -139,10 +139,10 @@ def cmd_expm(args) -> int:
 def cmd_logm(args) -> int:
     a = load_matrix(args.input)
     lg = logm(a, args.branch_offset)
+    # logm refuses a zero matrix (so ||a|| > 0); expm may refuse lg, so it runs before the write
+    roundtrip = np.linalg.norm(expm(lg) - a) / np.linalg.norm(a)
     out = _matfun_out(args, "logm")
     save_matrix(out, lg)
-    # logm refuses a zero matrix, so the norm of a is positive
-    roundtrip = np.linalg.norm(expm(lg) - a) / np.linalg.norm(a)
     print(f"wrote {out}")
     print(f"roundtrip residual: {roundtrip:.6e}")
     return 0

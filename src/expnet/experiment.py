@@ -470,5 +470,5 @@ def write_trace_csv(trace: ExperimentTrace, csv_path) -> str:
                 writer.writerow([run.seed, step, float(s)])
     sidecar_path = os.path.splitext(str(csv_path))[0] + ".config.json"
     sidecar = {"config": config_to_json(trace.config), "summary": trace_summary(trace)}
-    save_json(sidecar_path, sidecar, indent=2)
+    save_json(sidecar_path, sidecar)
     return sidecar_path

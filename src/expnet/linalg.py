@@ -1,8 +1,8 @@
 """Dense linear algebra: validated matrix values, LU with condition
 estimation, complex Schur decomposition, reproducible Gaussian sampling,
 and the repo-wide matrix JSON format, which orjson writes and reads (the
-standard library reads what orjson refuses) and whose readers reuse a
-recently decoded file text (see :func:`load_decoded`).
+standard library reads what orjson refuses) as bytes, and whose readers
+reuse the value of a recently decoded file (see :func:`load_decoded`).
 
 Matrices are plain ``numpy.ndarray`` values. :func:`cmatrix` is the
 validating constructor of complex128 matrices; it returns a read-only
@@ -392,8 +392,8 @@ def matrix_from_json(obj: dict) -> CMatrix:
     return cmatrix(pairs.view(np.complex128)[..., 0])
 
 
-def save_json(path, obj, indent=None) -> None:
-    """Write ``obj`` as one JSON document plus a newline.
+def save_json(path, obj) -> None:
+    """Write ``obj`` as one JSON document indented by two spaces, plus a newline.
 
     The writer of the documents (instance manifest, report, experiment
     sidecar): the stdlib encoder writes an infinite float as ``Infinity``
@@ -402,7 +402,7 @@ def save_json(path, obj, indent=None) -> None:
     hold no reference cycle, as the trees the package builds for its
     files do not: the circular-reference walk is skipped.
     """
-    text = json.dumps(obj, indent=indent, check_circular=False) + "\n"
+    text = json.dumps(obj, indent=2, check_circular=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -427,24 +427,12 @@ def save_matrix(path, a: CMatrix) -> None:
     """Write a matrix JSON file.
 
     A non-finite ``a`` raises ValueError before the file is opened, as
-    :func:`load_matrix` would refuse what it wrote. The text written is
-    kept for :func:`load_matrix` with ``cmatrix(a)`` as its decoded value:
-    floats are written with round-trip digits, so decoding that text
-    gives those bits.
+    :func:`load_matrix` would refuse what it wrote. The bytes written are
+    kept for :func:`load_matrix` with ``cmatrix(a)`` as their value:
+    floats are written with round-trip digits, so decoding gives its bits.
     """
     a = cmatrix(a)
-    text = save_compact_json(path, matrix_to_json(a)).decode("utf-8")
-    _remember(("matrix", text), a)
-
-
-def read_text(path) -> str:
-    """The text of a UTF-8 file; MatrixFormatError if it is not UTF-8."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MatrixFormatError(f"{path} is not UTF-8 text: {exc}") from None
+    _remember(("matrix", save_compact_json(path, matrix_to_json(a))), a)
 
 
 # -- decoded files, reused within a process ----------------------------------
@@ -452,15 +440,15 @@ def read_text(path) -> str:
 # The commands of one pipeline read the same files again (verify reads the
 # instance that solve read, and gen has just written it), and decoding took
 # a third of their time at d = 32. So the last few decoded values are kept,
-# keyed by the file's exact text: every load still reads its file, and an
-# edited file never matches an old text. Values are immutable (read-only
+# keyed by the file's exact bytes: every load still reads its file, and an
+# edited file never matches old bytes. Values are immutable (read-only
 # matrices, frozen weights of read-only matrices), and errors are not kept.
 
 #: Decoded matrix and weights files kept per process (one pipeline of
 #: gen, solve, verify, eval and logm uses seven).
 DECODE_MEMO_SIZE = 8
 
-_decoded: OrderedDict = OrderedDict()  # (kind, text) -> value, oldest first
+_decoded: OrderedDict = OrderedDict()  # (kind, bytes) -> value, oldest first
 _decoded_lock = threading.Lock()
 
 
@@ -477,19 +465,22 @@ def load_decoded(path, kind: str, decode):
     """``decode`` of the JSON value of the file at ``path``: the one reader
     of matrix and weights files.
 
-    orjson parses the text, four to five times faster than ``json.loads``
-    and to the same float bits. Text it refuses goes to ``json.loads``,
-    which reads ``NaN``, ``Infinity`` and numbers past float range for
-    ``decode`` to refuse by name, and raises its own JSONDecodeError on
-    malformed text. Nesting too deep for ``json.loads`` raises
-    MatrixFormatError. orjson reads an integer past 64 bits as a float.
+    orjson parses the file's bytes, four to five times faster than
+    ``json.loads`` and to the same float bits. Bytes it refuses, invalid
+    UTF-8 among them, are decoded as UTF-8 (else MatrixFormatError) and go
+    to ``json.loads``, which reads ``NaN``, ``Infinity`` and numbers past
+    float range for ``decode`` to refuse by name, and raises its own
+    JSONDecodeError on malformed text. Nesting too deep for ``json.loads``
+    raises MatrixFormatError. orjson reads an integer past 64 bits as a
+    float.
 
     The file is read on every call, and decoded unless a value of this
-    ``kind`` for the same text is among the last ``DECODE_MEMO_SIZE``
+    ``kind`` for the same bytes is among the last ``DECODE_MEMO_SIZE``
     decoded or written; ``decode`` must return an immutable value.
     """
-    text = read_text(path)
-    key = (kind, text)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    key = (kind, data)
     with _decoded_lock:
         value = _decoded.get(key)
         if value is not None:
@@ -497,10 +488,12 @@ def load_decoded(path, kind: str, decode):
             return value
     try:
         try:
-            obj = orjson.loads(text)
+            obj = orjson.loads(data)
         except orjson.JSONDecodeError:
-            obj = json.loads(text)
+            obj = json.loads(data.decode("utf-8"))
         value = decode(obj)
+    except UnicodeDecodeError as exc:  # from data.decode: decode sees no bytes
+        raise MatrixFormatError(f"{path} is not UTF-8 text: {exc}") from None
     except RecursionError:  # json.loads of deeply nested text
         raise MatrixFormatError(f"{path} nests too deeply to decode") from None
     _remember(key, value)
@@ -508,5 +501,5 @@ def load_decoded(path, kind: str, decode):
 
 
 def load_matrix(path) -> CMatrix:
-    """Read a matrix JSON file (reusing a decoded text, see :func:`load_decoded`)."""
+    """Read a matrix JSON file (reusing a decoded value, see :func:`load_decoded`)."""
     return load_decoded(path, "matrix", matrix_from_json)

@@ -42,7 +42,9 @@ from .linalg import (
     schur_decompose,
 )
 
-#: expm refuses inputs above this 1-norm: e^||a|| is far beyond float range.
+#: expm refuses inputs above this 1-norm. Not for range (a skew-Hermitian
+#: input has a unitary exponential) but for scipy's Pade picker, which stops
+#: scaling by 1e40 and from 1e78 returns a finite matrix near -I for one.
 EXPM_NORM_LIMIT = 1e8
 
 #: theta_m of Al-Mohy & Higham (SISC 2012), Table 2.1, m = 1..7: the
@@ -87,8 +89,8 @@ def expm(a: CMatrix) -> CMatrix:
     ValueError
         If an entry is NaN or infinite.
     OverflowError
-        If ``||a||_1 > 1e8``, or if entries overflow during the repeated
-        squaring (e^||a|| beyond float range).
+        If ``||a||_1 > 1e8``, past which scipy's Pade scaling is not
+        reliable, or if entries overflow during the repeated squaring.
     """
     a = np.asarray(a, dtype=np.complex128)
     _check_square(a)
@@ -98,7 +100,8 @@ def expm(a: CMatrix) -> CMatrix:
     if not anorm <= EXPM_NORM_LIMIT:
         require_finite(a)
         raise OverflowError(
-            f"||a||_1 = {anorm:.3e} exceeds {EXPM_NORM_LIMIT:.0e}; entries would overflow"
+            f"||a||_1 = {anorm:.3e} exceeds {EXPM_NORM_LIMIT:.0e}, past which "
+            "the Pade scaling and squaring is not reliable"
         )
     # overflow during squaring is reported as an error below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):

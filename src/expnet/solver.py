@@ -326,8 +326,10 @@ def eval_three_layer(
 
 def _relative(diff: np.ndarray, ref: np.ndarray) -> float:
     """||diff||_F / ||ref||_F as a float; 0 when both norms are 0, inf
-    when only the second is."""
+    when only the second is or either is not finite (never NaN)."""
     num, den = float(np.linalg.norm(diff)), float(np.linalg.norm(ref))
+    if not (math.isfinite(num) and math.isfinite(den)):
+        return math.inf
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return num / den
@@ -474,7 +476,7 @@ def save_weights(path, weights: ThreeLayerWeights) -> None:
 
 
 def load_weights(path) -> ThreeLayerWeights:
-    """Read a weights file (reusing a decoded text, see
+    """Read a weights file (reusing a decoded value, see
     :func:`~expnet.linalg.load_decoded`)."""
     return load_decoded(path, "weights", weights_from_json)
 
@@ -488,7 +490,7 @@ def save_instance(directory, inst: ProblemInstance, manifest_extra: dict | None 
         save_matrix(os.path.join(directory, f"{name}.json"), getattr(inst, name))
     manifest_path = os.path.join(directory, "instance.json")
     manifest = {"dim": inst.dim, "rconds": inst.rconds, **(manifest_extra or {})}
-    save_json(manifest_path, manifest, indent=2)
+    save_json(manifest_path, manifest)
     return manifest_path
 
 

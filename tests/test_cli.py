@@ -91,13 +91,13 @@ class TestSeedParsing:
         assert cli.parse_seeds("1..4") == (1, 2, 3, 4)
         assert cli.parse_seeds("1..3,9") == (1, 2, 3, 9)
 
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            cli.parse_seeds("5..2")
-        with pytest.raises(ValueError):
-            cli.parse_seeds("a")
-        with pytest.raises(ValueError):
-            cli.parse_seeds("1,,2")
+    @pytest.mark.parametrize("text", ["5..2", "a", "1,,2", "1..", "1..2..3"])
+    def test_invalid(self, text):
+        with pytest.raises(ValueError) as refusal:
+            cli.parse_seeds(text)
+        assert str(refusal.value) == (
+            f"--seeds must be integers and ascending ranges lo..hi, got {text!r}"
+        )
 
 
 class TestGen:
@@ -461,6 +461,15 @@ class TestMatrixFunctions:
         assert run_cli("logm", "--in", "a.json") == 5
         assert "error [ConvergenceError]" in capsys.readouterr().err
 
+    def test_logm_whose_roundtrip_overflows_writes_nothing(self, workdir, capsys):
+        # the log is refused by expm's norm limit in the roundtrip check
+        run_cli("gen", "--dim", "3", "--seed", "1", "--out", "inst")
+        code = run_cli("logm", "--in", "inst/y1.json", "--branch-offset", "20000000",
+                       "--out", "l.json")
+        assert code == 5
+        assert "error [OverflowError]" in capsys.readouterr().err
+        assert not (workdir / "l.json").exists()
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -657,6 +666,24 @@ class TestExperimentCommand:
 
     def test_bad_seeds_exit_2(self, workdir):
         assert run_cli("experiment", "--dim", "3", "--seeds", "9..1") == 2
+
+    @pytest.mark.parametrize(
+        "seeds, shown",
+        [
+            (",,," + "x" * 100_000, "',,,xxxxxxxxx...xxxxxxxxxxxxx'"),
+            ("1," + "7" * 5_000, "'1,7777777777...7777777777777'"),
+            ("1.." + "7" * 5_000, "'1..777777777...7777777777777'"),
+        ],
+        ids=["long-text", "long-seed", "long-range"],
+    )
+    def test_long_seeds_exit_2_with_a_short_message(self, workdir, capsys, seeds, shown):
+        # the full text, or Python's digit-limit message, would be printed
+        assert run_cli("experiment", "--dim", "3", "--seeds", seeds) == 2
+        assert capsys.readouterr().err == (
+            "error [ValueError]: --seeds must be integers and ascending ranges lo..hi, "
+            f"got {shown}\n"
+        )
+        assert not list(workdir.iterdir())
 
     @pytest.mark.parametrize(
         "seeds", [("--seeds", "-3"), ("--seeds", "1,-1"), ("--seeds=-2..1",)]

@@ -439,16 +439,15 @@ class TestMatrixJson:
             linalg._decoded.clear()
             assert linalg.load_matrix(path).tobytes() == linalg.cmatrix(a).tobytes()
 
-    @pytest.mark.parametrize("indent", [None, 2])
-    def test_save_json_bytes_match_json_dump(self, tmp_path, indent):
+    def test_save_json_bytes_match_json_dump(self, tmp_path):
         obj = {"dim": 2, "rconds": {"x1": 0.25, "x2": 1e-300}, "files": ["a", "b"],
                "pass": True, "seed": None, "kind": "complex-gaussian"}
         reference = tmp_path / "reference.json"
         with open(reference, "w", encoding="utf-8") as fh:  # the streaming writer
-            json.dump(obj, fh, indent=indent)
+            json.dump(obj, fh, indent=2)
             fh.write("\n")
         path = tmp_path / "m.json"
-        linalg.save_json(path, obj, indent=indent)
+        linalg.save_json(path, obj)
         assert path.read_bytes() == reference.read_bytes()
 
     def test_save_deterministic(self, tmp_path):
@@ -499,6 +498,23 @@ class TestReader:
         # every load ran the decoder: none was served from the memo
         assert decodes["n"] == 2 * (33 + 3 * 4)
 
+    @pytest.mark.parametrize(
+        "bad", [b"\xff", b"\xed\xa0\x80", b"\xc3"], ids=["ff", "lone-surrogate", "cut-short"]
+    )
+    def test_bytes_that_are_not_utf8_are_refused(self, tmp_path, bad):
+        # orjson refuses them inside an otherwise valid file, and the
+        # fallback names the file
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"dim": 1, "entries": [[[1.0, 0.0]]], "note": "' + bad + b'"}')
+        with pytest.raises(errors.MatrixFormatError, match="m.json is not UTF-8 text: "):
+            linalg.load_matrix(path)
+
+    def test_a_byte_order_mark_is_refused_by_json_loads(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(linalg.matrix_to_json(np.eye(1))).encode())
+        with pytest.raises(json.JSONDecodeError, match="BOM"):
+            linalg.load_matrix(path)
+
     def test_clean_files_do_not_reach_json_loads(self, tmp_path, decodes, monkeypatch):
         paths = self.write_files(tmp_path)
         linalg._decoded.clear()
@@ -538,14 +554,22 @@ def finite_matrices(draw):
 
 class TestDecodeMemo:
     """load_matrix and load_weights read the file on every call and reuse
-    the decoded value of a text they have decoded or written recently."""
+    the decoded value of bytes they have decoded or written recently."""
+
+    def test_save_matrix_keeps_the_bytes_it_wrote(self, tmp_path, decodes):
+        path = tmp_path / "m.json"
+        a = linalg.cmatrix(random_matrix(3, seed=1))
+        linalg.save_matrix(path, a)
+        assert list(linalg._decoded) == [("matrix", path.read_bytes())]
+        assert linalg.load_matrix(path) is linalg._decoded["matrix", path.read_bytes()]
+        assert decodes["n"] == 0
 
     def test_a_file_overwritten_through_json_loads_anew(self, tmp_path, decodes):
         path = tmp_path / "m.json"
         a, b = random_matrix(3, seed=1), random_matrix(3, seed=2)
         linalg.save_matrix(path, a)
         assert linalg.load_matrix(path).tobytes() == linalg.cmatrix(a).tobytes()
-        assert decodes["n"] == 0  # the text save_matrix wrote
+        assert decodes["n"] == 0  # the bytes save_matrix wrote
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(linalg.matrix_to_json(b), fh)
         assert linalg.load_matrix(path).tobytes() == linalg.cmatrix(b).tobytes()

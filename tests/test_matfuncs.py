@@ -66,6 +66,20 @@ class TestExpm:
             with pytest.raises(OverflowError):
                 expm(np.eye(2) * 2e8)
 
+    @pytest.mark.parametrize("norm", [1e80, 1e100])
+    def test_skew_hermitian_past_the_norm_limit_is_refused(self, norm):
+        # its exponential is unitary, so nothing overflows; past the limit
+        # scipy's Pade picker takes degree 3 without scaling and returns a
+        # finite matrix near -I
+        g = random_complex(21, 8)
+        h = (g - g.conj().T) / 2
+        h = h * (norm / linalg.one_norm(h))
+        assert np.abs(scipy.linalg.expm(h) + np.eye(8)).max() < 1e-6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="exceeds 1e\\+08"):
+                expm(h)
+
     def test_value_overflow(self):
         # norm below the hard input limit but exp overflows double range
         with pytest.raises(OverflowError):

@@ -436,21 +436,83 @@ DOCUMENTED_REFUSALS = (
 )
 
 
+def solved(case):
+    """``(weights, instance)`` of a :func:`solver_cases` case, or None
+    when ``make_instance`` or the solve raises a documented refusal."""
+    *matrices, alpha, branch = case
+    try:
+        inst = solver.make_instance(*matrices)
+        return solver.solve_three_layer(inst, alpha=alpha, branch=branch), inst
+    except DOCUMENTED_REFUSALS:
+        return None
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(case=solver_cases())
 def test_solve_meets_its_contract_or_raises(case):
     # every solve either interpolates both pairs to 1e-6 or raises a
     # documented error, without a warning: never silent garbage
-    *matrices, alpha, branch = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            inst = solver.make_instance(*matrices)
-            weights = solver.solve_three_layer(inst, alpha=alpha, branch=branch)
-        except DOCUMENTED_REFUSALS:
+        if (pair := solved(case)) is None:
             return
-        rep = solver.verify(weights, inst)
+        rep = solver.verify(*pair)
     assert rep.passed, (rep.residual1, rep.residual2)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    case=solver_cases(),
+    source=st.sampled_from(["x1", "x2", "gaussian"]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_eval_gives_finite_output_or_raises(case, source, scale):
+    # on an interpolation point or a fresh input, scaled by 10^+-3, the
+    # forward map is finite or raises OverflowError, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if (pair := solved(case)) is None:
+            return
+        weights, inst = pair
+        if source == "gaussian":
+            x = random_matrix(inst.dim, seed=inst.dim)
+        else:
+            x = getattr(inst, source)
+        try:
+            out = solver.eval_three_layer(weights, x * scale)
+        except OverflowError:
+            return
+    assert np.isfinite(out).all()
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    case=solver_cases(),
+    perturbation=st.sampled_from(["scaled", "noise", "swapped"]),
+    layers=st.permutations(["w1", "w2", "w3"]),
+    exponent=st.integers(-12, 8),
+)
+def test_verify_reports_on_perturbed_weights(case, perturbation, layers, exponent):
+    # verify documents no numerical error: W scaled by 10^+-8, noise of
+    # relative size 10^exponent, or two layers swapped give a report whose
+    # values are numbers or inf, never NaN, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if (pair := solved(case)) is None:
+            return
+        weights, inst = pair
+        fields = {name: getattr(weights, name) for name in ("w1", "w2", "w3")}
+        first, second = layers[:2]
+        if perturbation == "scaled":
+            fields[first] = fields[first] * 10.0 ** math.copysign(8, exponent)
+        elif perturbation == "noise":
+            noise = random_matrix(inst.dim, seed=exponent + 12)
+            fields[first] = fields[first] + 10.0**exponent * np.abs(fields[first]).max() * noise
+        else:
+            fields[first], fields[second] = fields[second], fields[first]
+        rep = solver.verify(dataclasses.replace(weights, **fields), inst)
+    values = [rep.residual1, rep.residual2, *rep.identity_checks.values()]
+    assert not any(math.isnan(v) for v in values), values
 
 
 class TestVerifyRobustness:
@@ -478,6 +540,15 @@ class TestVerifyRobustness:
         rep = solver.verify(bad, inst)
         assert rep.residual1 == rep.residual2 == math.inf
         assert rep.identity_checks["commutant_form"] <= 1e-12
+
+    def test_a_blowup_in_the_identity_checks_reads_inf(self):
+        # expm(W1 X1) is finite, but the norms of the scale and commutant
+        # checks overflow: inf / inf was reported as NaN
+        inst = solver.random_instance(2, 3)
+        w = solver.solve_three_layer(inst)
+        bad = dataclasses.replace(w, w1=w.w1 + 100.0 * random_matrix(2, seed=2))
+        checks = solver.verify(bad, inst).identity_checks
+        assert checks["scale_identity"] == checks["commutant_form"] == math.inf
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-6])
     def test_tol_must_be_positive_and_finite(self, tol):
