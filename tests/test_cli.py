@@ -91,13 +91,13 @@ class TestSeedParsing:
         assert cli.parse_seeds("1..4") == (1, 2, 3, 4)
         assert cli.parse_seeds("1..3,9") == (1, 2, 3, 9)
 
-    @pytest.mark.parametrize("text", ["5..2", "a", "1,,2", "1..", "1..2..3"])
-    def test_invalid(self, text):
-        with pytest.raises(ValueError) as refusal:
-            cli.parse_seeds(text)
-        assert str(refusal.value) == (
-            f"--seeds must be integers and ascending ranges lo..hi, got {text!r}"
-        )
+    def test_invalid(self):
+        for text in ["5..2", "a", "1,,2", "1..", "1..2..3"]:
+            with pytest.raises(ValueError) as refusal:
+                cli.parse_seeds(text)
+            assert str(refusal.value) == (
+                f"--seeds must be integers and ascending ranges lo..hi, got {text!r}"
+            )
 
 
 class TestGen:
