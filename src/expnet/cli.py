@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -40,13 +41,20 @@ from .linalg import GAUSSIAN_KINDS, _shown, load_matrix, save_json, save_matrix
 from .matfuncs import PRINCIPAL, expm, logm
 
 
+#: Most seeds ``--seeds`` may name. One descent per seed; the bound keeps a
+#: range such as 1..1000000000 from being expanded before it is refused.
+MAX_SEEDS = 10_000
+
+
 def parse_seeds(text: str) -> tuple:
     """Parse a seed list: "7", "1,2,5", "1..10", or mixes like "1..3,9".
 
-    Only the syntax is checked here (ValueError naming ``--seeds``);
+    Only the syntax and the count are checked here (ValueError naming
+    ``--seeds``): the ranges may name at most ``MAX_SEEDS`` seeds in all,
+    counted before any is expanded.
     :class:`~expnet.experiment.ExperimentConfig` refuses a negative seed.
     """
-    seeds = []
+    ranges = []
     for token in str(text).split(","):
         lo_text, dots, hi_text = token.partition("..")
         try:  # int() refuses an empty token and one past Python's digit limit
@@ -58,8 +66,10 @@ def parse_seeds(text: str) -> tuple:
             raise ValueError(
                 f"--seeds must be integers and ascending ranges lo..hi, got {_shown(text)}"
             ) from None
-        seeds.extend(range(lo, hi + 1))
-    return tuple(seeds)
+        ranges.append(range(lo, hi + 1))
+    if sum(r.stop - r.start for r in ranges) > MAX_SEEDS:  # len() stops at 2**63
+        raise ValueError(f"--seeds must name at most {MAX_SEEDS} seeds, got {_shown(text)}")
+    return tuple(itertools.chain.from_iterable(ranges))
 
 
 def _report_exit_code(report: solver.SolveReport) -> int:
@@ -139,8 +149,10 @@ def cmd_expm(args) -> int:
 def cmd_logm(args) -> int:
     a = load_matrix(args.input)
     lg = logm(a, args.branch_offset)
-    # logm refuses a zero matrix (so ||a|| > 0); expm may refuse lg, so it runs before the write
-    roundtrip = np.linalg.norm(expm(lg) - a) / np.linalg.norm(a)
+    # expm may refuse lg, so it runs before the write; a norm past float
+    # range gives an inf residual, as in verify, not a warning and NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        roundtrip = solver._relative(expm(lg) - a, a)
     out = _matfun_out(args, "logm")
     save_matrix(out, lg)
     print(f"wrote {out}")

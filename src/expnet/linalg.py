@@ -16,7 +16,10 @@ results (BLAS summation order is fixed within one build).
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
+import itertools
 import json
 import math
 import numbers
@@ -371,15 +374,16 @@ def matrix_from_json(obj: dict) -> CMatrix:
     ------
     MatrixFormatError
         Unless ``obj`` has an integer ``dim`` and ``entries`` that form a
-        ``(dim, dim, 2)`` array of finite numbers.
+        ``(dim, dim, 2)`` array of finite numbers, none of them a bool.
     """
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise MatrixFormatError("matrix JSON must be an object with 'dim' and 'entries' fields")
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise MatrixFormatError(f"matrix JSON 'dim' must be an integer, got {_shown(dim)}")
+    entries = obj["entries"]
     try:
-        pairs = np.asarray(obj["entries"])
+        pairs = np.asarray(entries)
     except ValueError:  # ragged nesting
         pairs = None
     if pairs is None or pairs.shape != (dim, dim, 2) or pairs.dtype.kind not in "iuf":
@@ -388,6 +392,12 @@ def matrix_from_json(obj: dict) -> CMatrix:
         )
     pairs = np.ascontiguousarray(pairs, dtype=np.float64)
     require_finite(pairs, "matrix JSON", MatrixFormatError)
+    # numpy reads true and false among numbers as 1 and 0, so only entries
+    # holding a 0 or a 1 are searched for one, item by item
+    if ((pairs == 0.0) | (pairs == 1.0)).any() and bool in map(
+        type, itertools.chain.from_iterable(itertools.chain.from_iterable(entries))
+    ):
+        raise MatrixFormatError("matrix JSON entries must be numbers, got true or false")
     # each [re, im] pair is the memory layout of one complex128
     return cmatrix(pairs.view(np.complex128)[..., 0])
 
@@ -407,17 +417,20 @@ def save_json(path, obj) -> None:
         fh.write(text)
 
 
-def save_compact_json(path, obj) -> bytes:
-    """Write ``obj`` as one compact JSON line plus a newline; return the bytes.
+def save_compact_json(path, encode, value) -> bytes:
+    """Write ``encode(value)`` as one compact JSON line plus a newline;
+    return the bytes.
 
     The writer of the matrix and weights files. orjson prints each float
     with its shortest round-trip digits, those of ``repr``, about ten
     times faster than ``json.dumps``, so ``json.loads`` of the file gives
     the same bits. It writes NaN and infinities as ``null`` and refuses
-    an integer past 64 bits, so every float in ``obj`` must be finite and
-    every integer small.
+    an integer past 64 bits, so every float in the encoded tree must be
+    finite and every integer small. The tree is built and printed with
+    the collector paused, and is freed before it resumes.
     """
-    data = orjson.dumps(obj, option=orjson.OPT_APPEND_NEWLINE)
+    with _collector_paused():
+        data = orjson.dumps(encode(value), option=orjson.OPT_APPEND_NEWLINE)
     with open(path, "wb") as fh:
         fh.write(data)
     return data
@@ -432,7 +445,38 @@ def save_matrix(path, a: CMatrix) -> None:
     floats are written with round-trip digits, so decoding gives its bits.
     """
     a = cmatrix(a)
-    _remember(("matrix", save_compact_json(path, matrix_to_json(a))), a)
+    _remember(("matrix", save_compact_json(path, matrix_to_json, a)), a)
+
+
+# -- the cyclic garbage collector, paused around the file codec -------------
+#
+# A file is built from, or parsed into, nested [re, im] lists: 1,056 per
+# d = 32 matrix and 4,224 per weights file, all alive at once. That passes
+# the collector's first threshold (700 new containers), so collections ran
+# in the middle of the codec and promoted the lists, which later set off
+# full collections over the tens of thousands of objects numpy and scipy
+# keep tracked, about 12 ms each: 7% of the time of in-process CLI chains
+# on a 2-CPU host. The lists hold only numbers, so they form no cycle, and
+# reference counting frees them.
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Turn automatic garbage collection off for the block and back on
+    after it, unless it was off before.
+
+    The collector's state is process-wide, as under ``timeit``: another
+    thread runs without it meanwhile. A thread that found it on turns it
+    back on, so overlapping blocks never leave it off. The block must
+    free what it allocated before it ends, or the collector promotes it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- decoded files, reused within a process ----------------------------------
@@ -476,7 +520,9 @@ def load_decoded(path, kind: str, decode):
 
     The file is read on every call, and decoded unless a value of this
     ``kind`` for the same bytes is among the last ``DECODE_MEMO_SIZE``
-    decoded or written; ``decode`` must return an immutable value.
+    decoded or written; ``decode`` must return an immutable value. The
+    parse and ``decode`` run with the collector paused (see
+    :func:`_collector_paused`).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -487,11 +533,13 @@ def load_decoded(path, kind: str, decode):
             _decoded.move_to_end(key)
             return value
     try:
-        try:
-            obj = orjson.loads(data)
-        except orjson.JSONDecodeError:
-            obj = json.loads(data.decode("utf-8"))
-        value = decode(obj)
+        with _collector_paused():
+            try:
+                obj = orjson.loads(data)
+            except orjson.JSONDecodeError:
+                obj = json.loads(data.decode("utf-8"))
+            value = decode(obj)
+            del obj  # the parsed tree is freed before collection resumes
     except UnicodeDecodeError as exc:  # from data.decode: decode sees no bytes
         raise MatrixFormatError(f"{path} is not UTF-8 text: {exc}") from None
     except RecursionError:  # json.loads of deeply nested text

@@ -472,7 +472,7 @@ def save_weights(path, weights: ThreeLayerWeights) -> None:
     """
     for name in _WEIGHT_FIELDS[1:]:
         require_finite(getattr(weights, name), f"weights {name}")
-    save_compact_json(path, weights_to_json(weights))
+    save_compact_json(path, weights_to_json, weights)
 
 
 def load_weights(path) -> ThreeLayerWeights:

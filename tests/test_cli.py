@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from expnet import cli, errors, linalg, matfuncs, solver
 from expnet.matfuncs import PRINCIPAL
@@ -98,6 +99,14 @@ class TestSeedParsing:
             assert str(refusal.value) == (
                 f"--seeds must be integers and ascending ranges lo..hi, got {text!r}"
             )
+
+    def test_count_is_bounded_before_ranges_are_expanded(self):
+        top = cli.MAX_SEEDS
+        assert cli.parse_seeds(f"1..{top}") == tuple(range(1, top + 1))
+        # past the bound; the last would be a MemoryError if expanded
+        for text in [f"1..{top + 1}", f"0,1..{top}", "1..1000000000", f"0..{10**100}"]:
+            with pytest.raises(ValueError, match=f"^--seeds must name at most {top} seeds, got "):
+                cli.parse_seeds(text)
 
 
 class TestGen:
@@ -470,6 +479,25 @@ class TestMatrixFunctions:
         assert "error [OverflowError]" in capsys.readouterr().err
         assert not (workdir / "l.json").exists()
 
+    def test_logm_whose_norm_overflows_prints_an_infinite_residual(self, workdir, capsys):
+        # ||a||_F is past float range; the suite turns a warning into an error
+        linalg.save_matrix(workdir / "a.json", np.diag([1e200, 2e200]))
+        assert run_cli("logm", "--in", "a.json", "--out", "la.json") == 0
+        assert capsys.readouterr().out == "wrote la.json\nroundtrip residual: inf\n"
+        assert_allclose(linalg.load_matrix(workdir / "la.json"),
+                        np.diag(np.log([1e200, 2e200])), rtol=1e-15)
+
+    def test_bool_entry_exit_4(self, workdir, capsys):
+        # numpy would read true as 1.0
+        (workdir / "m.json").write_text(
+            '{"dim": 2, "entries": [[[true, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}'
+        )
+        assert run_cli("expm", "--in", "m.json", "--out", "e.json") == 4
+        assert capsys.readouterr().err == (
+            "error [MatrixFormatError]: matrix JSON entries must be numbers, got true or false\n"
+        )
+        assert not (workdir / "e.json").exists()
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -682,6 +710,14 @@ class TestExperimentCommand:
         assert capsys.readouterr().err == (
             "error [ValueError]: --seeds must be integers and ascending ranges lo..hi, "
             f"got {shown}\n"
+        )
+        assert not list(workdir.iterdir())
+
+    def test_a_billion_seeds_exit_2(self, workdir, capsys):
+        assert run_cli("experiment", "--dim", "3", "--seeds", "1..1000000000") == 2
+        assert capsys.readouterr().err == (
+            f"error [ValueError]: --seeds must name at most {cli.MAX_SEEDS} seeds, "
+            "got '1..1000000000'\n"
         )
         assert not list(workdir.iterdir())
 

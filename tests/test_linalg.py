@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import sys
@@ -418,6 +419,22 @@ class TestMatrixJson:
         with pytest.raises(ValueError):
             linalg.matrix_from_json({"entries": []})
 
+    @pytest.mark.parametrize(
+        "pair", [[True, 0.5], [0.5, False], [1, True], [True, False]],
+        ids=["true-re", "false-im", "true-beside-int", "all-bool"],
+    )
+    def test_bool_entries_are_refused(self, pair):
+        # numpy would read true as 1.0 and false as 0.0
+        entries = [[[0.25, 0.0], pair], [[1.0, 1.0], [0.0, 0.5]]]
+        with pytest.raises(errors.MatrixFormatError, match="entries"):
+            linalg.matrix_from_json({"dim": 2, "entries": entries})
+
+    def test_zero_and_one_entries_are_numbers(self):
+        # the entries the bool search looks at, with no bool among them
+        entries = [[[1, 0], [0.0, 1.0]], [[-0.0, 0.5], [1, 1]]]
+        a = linalg.matrix_from_json({"dim": 2, "entries": entries})
+        assert a.tobytes() == np.array([[1, 1j], [complex(-0.0, 0.5), 1 + 1j]]).tobytes()
+
     def test_file_bytes_are_compact_json(self, tmp_path):
         path = tmp_path / "m.json"
         for a in (random_matrix(32, seed=6), SPECIAL_VALUES, np.eye(3)):
@@ -532,6 +549,68 @@ class TestReader:
         nan.write_text('{"dim": 1, "entries": [[[NaN, 0.0]]]}')
         with pytest.raises(AssertionError, match="json.loads called"):
             linalg.load_matrix(nan)
+
+
+class TestCollectorPaused:
+    """The cyclic garbage collector stays off while a matrix or weights
+    file is encoded or decoded, and its state is restored after."""
+
+    @pytest.fixture
+    def collections(self):
+        """Collections started while the test runs, with the collector on."""
+        started = []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(record)
+        try:
+            yield started
+        finally:
+            gc.callbacks.remove(record)
+            if not was_enabled:
+                gc.disable()
+
+    def test_round_trips_start_no_collection(self, tmp_path, decodes, collections):
+        # a d = 32 matrix is 1,056 lists and its weights 4,224, past the
+        # first collection threshold of 700 new containers
+        a = random_matrix(32, seed=4)
+        weights = solver.solve_three_layer(solver.random_instance(32, 5))
+        gc.collect()  # so the count of new containers starts from zero
+        collections.clear()
+        linalg.save_matrix(tmp_path / "m.json", a)
+        solver.save_weights(tmp_path / "w.json", weights)
+        linalg._decoded.clear()  # so the loads parse and decode
+        assert_array_equal(linalg.load_matrix(tmp_path / "m.json"), a)
+        assert_array_equal(solver.load_weights(tmp_path / "w.json").w2, weights.w2)
+        assert decodes["n"] == 5
+        assert collections == []
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_the_callers_state_comes_back(self, tmp_path, decodes, enabled):
+        path, bad = tmp_path / "m.json", tmp_path / "bad.json"
+        bad.write_text('{"dim": 2, "entries": [[[1.0, 0.5]]]}')
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            linalg.save_matrix(path, np.eye(2))
+            states = [gc.isenabled()]
+            linalg._decoded.clear()  # so the load parses and decodes
+            linalg.load_matrix(path)
+            states.append(gc.isenabled())
+            with pytest.raises(errors.MatrixFormatError):
+                linalg.load_matrix(bad)
+            states.append(gc.isenabled())
+            with pytest.raises(TypeError):  # orjson refuses an integer past 64 bits
+                linalg.save_compact_json(path, lambda v: v, 2**70)
+            states.append(gc.isenabled())
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert decodes["n"] == 2
+        assert states == [enabled] * 4
 
 
 def significant_digits(token: str) -> str:

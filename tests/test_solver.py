@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import typing
 import warnings
 
 import numpy as np
@@ -380,40 +381,35 @@ FAMILIES = (
 )
 
 
+class SolverCase(typing.NamedTuple):
+    """The drawn parameters of one solver case; :func:`case_matrices`
+    builds its matrices, so a falsifying example prints in one line."""
+
+    dim: int
+    seed: int
+    family: str
+    sign: int
+    extra: int | None  # the exponent of a family that draws one
+    alpha: float
+    branch: int
+
+
+#: Range of the extra exponent per family that draws one.
+EXTRA_RANGES = {"x2-near-x1": (1, 4), "y2-near-y1": (1, 6), "non-normal-quotient": (0, 3)}
+
+
 @st.composite
 def solver_cases(draw):
-    """``(x1, x2, y1, y2, alpha, branch)``: Gaussian quadruples of order
-    1 to 16 reshaped by one of ``FAMILIES``, a scale alpha in {e, 1/2, 2}
-    or log-uniform on [1e-2, 1e2] (less those within ``MIN_ALPHA_GAP`` of
-    1, which the solve refuses before any arithmetic), and a branch in
+    """A :class:`SolverCase`: Gaussian quadruples of order 1 to 16
+    reshaped by one of ``FAMILIES``, a scale alpha in {e, 1/2, 2} or
+    log-uniform on [1e-2, 1e2] (less those within ``MIN_ALPHA_GAP`` of 1,
+    which the solve refuses before any arithmetic), and a branch in
     -2..2."""
     dim = draw(st.sampled_from([1, 2, 3, 4, 8, 16]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (4, dim, dim)
-    x1, x2, y1, y2 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    seed = draw(st.integers(0, 2**32 - 1))
     family = draw(st.sampled_from(FAMILIES))
     sign = draw(st.sampled_from([-1, 1]))
-    if family == "x-scaled":
-        x1, x2 = x1 * 10.0 ** (3 * sign), x2 * 10.0 ** (3 * sign)
-    elif family == "y-scaled":
-        y1, y2 = y1 * 10.0 ** (6 * sign), y2 * 10.0 ** (6 * sign)
-    elif family == "y2-scaled":
-        y2 = y2 * 10.0 ** (4 * sign)
-    elif family == "x2-near-x1":
-        x2 = x1 + 10.0 ** -draw(st.integers(1, 4)) * x2
-    elif family == "y2-near-y1":
-        y2 = y1 + 10.0 ** -draw(st.integers(1, 6)) * y2
-    elif family == "non-normal-quotient":
-        # Y1^-1 Y2 = S T S^-1 with T triangular and strongly coupled
-        t = np.triu(y2, 1) * 10.0 ** draw(st.integers(0, 3)) + np.diag(np.diag(y2))
-        y2 = y1 @ x2 @ t @ np.linalg.inv(x2)
-    elif family == "real":
-        x1, x2, y1, y2 = x1.real, x2.real, y1.real, y2.real
-    elif family == "quotient-near-negative-axis":
-        # eigenvalues -r e^(i phi) with |phi| <= 1e-2, on either side of the cut
-        phi = rng.uniform(-1e-2, 1e-2, dim)
-        eig = -np.exp(rng.standard_normal(dim) + 1j * phi)
-        y2 = y1 @ x2 @ np.diag(eig) @ np.linalg.inv(x2)
+    extra = draw(st.integers(*EXTRA_RANGES[family])) if family in EXTRA_RANGES else None
     alpha = draw(
         st.one_of(
             st.sampled_from([math.e, 0.5, 2.0]),
@@ -422,7 +418,37 @@ def solver_cases(draw):
             .filter(lambda a: abs(a - 1.0) >= solver.MIN_ALPHA_GAP),
         )
     )
-    return x1, x2, y1, y2, alpha, draw(st.integers(-2, 2))
+    return SolverCase(dim, seed, family, sign, extra, alpha, draw(st.integers(-2, 2)))
+
+
+def case_matrices(case: SolverCase) -> tuple:
+    """``(x1, x2, y1, y2)`` of a :class:`SolverCase`."""
+    dim, sign, extra = case.dim, case.sign, case.extra
+    rng = np.random.default_rng(case.seed)
+    shape = (4, dim, dim)
+    x1, x2, y1, y2 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if case.family == "x-scaled":
+        x1, x2 = x1 * 10.0 ** (3 * sign), x2 * 10.0 ** (3 * sign)
+    elif case.family == "y-scaled":
+        y1, y2 = y1 * 10.0 ** (6 * sign), y2 * 10.0 ** (6 * sign)
+    elif case.family == "y2-scaled":
+        y2 = y2 * 10.0 ** (4 * sign)
+    elif case.family == "x2-near-x1":
+        x2 = x1 + 10.0**-extra * x2
+    elif case.family == "y2-near-y1":
+        y2 = y1 + 10.0**-extra * y2
+    elif case.family == "non-normal-quotient":
+        # Y1^-1 Y2 = S T S^-1 with T triangular and strongly coupled
+        t = np.triu(y2, 1) * 10.0**extra + np.diag(np.diag(y2))
+        y2 = y1 @ x2 @ t @ np.linalg.inv(x2)
+    elif case.family == "real":
+        x1, x2, y1, y2 = x1.real, x2.real, y1.real, y2.real
+    elif case.family == "quotient-near-negative-axis":
+        # eigenvalues -r e^(i phi) with |phi| <= 1e-2, on either side of the cut
+        phi = rng.uniform(-1e-2, 1e-2, dim)
+        eig = -np.exp(rng.standard_normal(dim) + 1j * phi)
+        y2 = y1 @ x2 @ np.diag(eig) @ np.linalg.inv(x2)
+    return x1, x2, y1, y2
 
 
 #: The errors make_instance and solve_three_layer document.
@@ -439,10 +465,9 @@ DOCUMENTED_REFUSALS = (
 def solved(case):
     """``(weights, instance)`` of a :func:`solver_cases` case, or None
     when ``make_instance`` or the solve raises a documented refusal."""
-    *matrices, alpha, branch = case
     try:
-        inst = solver.make_instance(*matrices)
-        return solver.solve_three_layer(inst, alpha=alpha, branch=branch), inst
+        inst = solver.make_instance(*case_matrices(case))
+        return solver.solve_three_layer(inst, alpha=case.alpha, branch=case.branch), inst
     except DOCUMENTED_REFUSALS:
         return None
 
