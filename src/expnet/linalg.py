@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 import reprlib
 import threading
 from collections import OrderedDict
@@ -392,12 +393,16 @@ def matrix_from_json(obj: dict) -> CMatrix:
         )
     pairs = np.ascontiguousarray(pairs, dtype=np.float64)
     require_finite(pairs, "matrix JSON", MatrixFormatError)
-    # numpy reads true and false among numbers as 1 and 0, so only entries
-    # holding a 0 or a 1 are searched for one, item by item
-    if ((pairs == 0.0) | (pairs == 1.0)).any() and bool in map(
-        type, itertools.chain.from_iterable(itertools.chain.from_iterable(entries))
-    ):
-        raise MatrixFormatError("matrix JSON entries must be numbers, got true or false")
+    # numpy reads true and false among numbers as 1 and 0, so each part
+    # (real, imaginary) that holds a 0 or a 1 is searched for one, item by
+    # item: no part of a random complex matrix, the imaginary parts of a
+    # real one
+    hits = (pairs == 0.0) | (pairs == 1.0)
+    if hits.any():
+        for part in np.flatnonzero(hits.reshape(-1, 2).any(axis=0)).tolist():
+            values = map(operator.itemgetter(part), itertools.chain.from_iterable(entries))
+            if bool in map(type, values):
+                raise MatrixFormatError("matrix JSON entries must be numbers, got true or false")
     # each [re, im] pair is the memory layout of one complex128
     return cmatrix(pairs.view(np.complex128)[..., 0])
 
@@ -460,23 +465,37 @@ def save_matrix(path, a: CMatrix) -> None:
 # reference counting frees them.
 
 
+_pause_lock = threading.Lock()
+_pauses = 0  # blocks running now, in all threads
+_resume = False  # whether the first of them found the collector on
+
+
 @contextlib.contextmanager
 def _collector_paused():
-    """Turn automatic garbage collection off for the block and back on
-    after it, unless it was off before.
+    """Turn automatic garbage collection off for the block, and back on
+    when the last block running in any thread ends, if the first found
+    it on.
 
-    The collector's state is process-wide, as under ``timeit``: another
-    thread runs without it meanwhile. A thread that found it on turns it
-    back on, so overlapping blocks never leave it off. The block must
-    free what it allocated before it ends, or the collector promotes it.
+    The collector's state is process-wide, as under ``timeit``: other
+    threads run without it meanwhile. Overlapping blocks count as one
+    pause, under a lock, so none turns the collector on while another
+    runs, and the state the first found is the one the last restores.
+    The block must free what it allocated before it ends, or the
+    collector promotes it.
     """
-    enabled = gc.isenabled()
-    gc.disable()
+    global _pauses, _resume
+    with _pause_lock:
+        if _pauses == 0:
+            _resume = gc.isenabled()
+            gc.disable()
+        _pauses += 1
     try:
         yield
     finally:
-        if enabled:
-            gc.enable()
+        with _pause_lock:
+            _pauses -= 1
+            if _pauses == 0 and _resume:
+                gc.enable()
 
 
 # -- decoded files, reused within a process ----------------------------------

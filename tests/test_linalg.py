@@ -420,12 +420,20 @@ class TestMatrixJson:
             linalg.matrix_from_json({"entries": []})
 
     @pytest.mark.parametrize(
-        "pair", [[True, 0.5], [0.5, False], [1, True], [True, False]],
-        ids=["true-re", "false-im", "true-beside-int", "all-bool"],
+        "entries",
+        [
+            [[[0.25, 0.0], [True, 0.5]], [[1.0, 1.0], [0.0, 0.5]]],
+            [[[0.25, 0.0], [0.5, False]], [[1.0, 1.0], [0.0, 0.5]]],
+            [[[0.25, 0.0], [1, True]], [[1.0, 1.0], [0.0, 0.5]]],
+            [[[0.25, 0.0], [True, False]], [[1.0, 1.0], [0.0, 0.5]]],
+            # the only part holding a 0 or a 1 is the one with the bool
+            [[[0.25, 0.0], [-1.5, 0.0]], [[2.5, False], [0.5, 0.0]]],
+            [[[0.25, 0.5], [-1.5, 2.5]], [[True, 0.75], [0.5, 3.5]]],
+        ],
+        ids=["true-re", "false-im", "true-beside-int", "all-bool", "false-im-of-real", "true-re-alone"],
     )
-    def test_bool_entries_are_refused(self, pair):
+    def test_bool_entries_are_refused(self, entries):
         # numpy would read true as 1.0 and false as 0.0
-        entries = [[[0.25, 0.0], pair], [[1.0, 1.0], [0.0, 0.5]]]
         with pytest.raises(errors.MatrixFormatError, match="entries"):
             linalg.matrix_from_json({"dim": 2, "entries": entries})
 
@@ -612,6 +620,24 @@ class TestCollectorPaused:
         assert decodes["n"] == 2
         assert states == [enabled] * 4
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_overlapping_pauses_end_with_the_last(self, enabled):
+        # blocks of two threads that overlap, entered and left by hand in
+        # the order: first in, second in, first out, second out
+        first, second = linalg._collector_paused(), linalg._collector_paused()
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            first.__enter__()
+            second.__enter__()
+            first.__exit__(None, None, None)
+            states = [gc.isenabled()]
+            second.__exit__(None, None, None)
+            states.append(gc.isenabled())
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert states == [False, enabled]
+
 
 def significant_digits(token: str) -> str:
     """The significant digits of a JSON number: no sign, point, exponent,
@@ -711,6 +737,7 @@ class TestDecodeMemo:
                 failures.append(("raised", repr(exc)))
 
         threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        enabled = gc.isenabled()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -722,6 +749,7 @@ class TestDecodeMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
+        assert gc.isenabled() == enabled  # the codec's pauses left it as it was
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(a=finite_matrices())
