@@ -274,7 +274,8 @@ class ExperimentConfig:
     ``ACTIVATION_RCOND_FLOOR``. ``dim`` must be an integer of at least 1,
     ``steps`` and each seed nonnegative integers: an integral float
     becomes an int, and a bool, a non-integral or a too-small value raises
-    ValueError naming the field, and so does a repeated seed.
+    ValueError naming the field, and so does a repeated seed or a
+    ``seeds`` that is not iterable.
     ``activation`` is a name in ``ACTIVATIONS``, else ValueError.
     """
 
@@ -287,14 +288,17 @@ class ExperimentConfig:
     def __post_init__(self):
         dim = integer_value(self.dim, "dim must be an integer >= 1", 1)
         steps = integer_value(self.steps, "steps must be an integer >= 0", 0)
-        if not self.seeds:
+        try:
+            seeds = tuple(self.seeds)
+        except TypeError:
+            rule = "seeds must be an iterable of integers"
+            raise ValueError(f"{rule}, got {_shown(self.seeds)}") from None
+        if not seeds:
             raise ValueError("seeds must be non-empty")
         if self.learning_rate is not None:
             require_positive(self.learning_rate, "learning_rate")
         get_activation(self.activation)
-        seeds = tuple(
-            integer_value(s, "seeds must be nonnegative integers", 0) for s in self.seeds
-        )
+        seeds = tuple(integer_value(s, "seeds must be nonnegative integers", 0) for s in seeds)
         if len(set(seeds)) < len(seeds):
             repeated = next(s for i, s in enumerate(seeds) if s in seeds[:i])
             raise ValueError(f"seeds must be distinct, got {repeated} more than once")

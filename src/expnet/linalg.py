@@ -431,10 +431,10 @@ def save_compact_json(path, encode, value) -> bytes:
     times faster than ``json.dumps``, so ``json.loads`` of the file gives
     the same bits. It writes NaN and infinities as ``null`` and refuses
     an integer past 64 bits, so every float in the encoded tree must be
-    finite and every integer small. The tree is built and printed with
-    the collector paused, and is freed before it resumes.
+    finite and every integer small. The tree is built and printed inside
+    a :func:`_codec` block, and is freed before the block ends.
     """
-    with _collector_paused():
+    with _codec():
         data = orjson.dumps(encode(value), option=orjson.OPT_APPEND_NEWLINE)
     with open(path, "wb") as fh:
         fh.write(data)
@@ -450,10 +450,12 @@ def save_matrix(path, a: CMatrix) -> None:
     floats are written with round-trip digits, so decoding gives its bits.
     """
     a = cmatrix(a)
-    _remember(("matrix", save_compact_json(path, matrix_to_json, a)), a)
+    data = save_compact_json(path, matrix_to_json, a)
+    with _codec():
+        _remember(("matrix", data), a)
 
 
-# -- the cyclic garbage collector, paused around the file codec -------------
+# -- the file codec's process-wide state: one lock ---------------------------
 #
 # A file is built from, or parsed into, nested [re, im] lists: 1,056 per
 # d = 32 matrix and 4,224 per weights file, all alive at once. That passes
@@ -462,43 +464,7 @@ def save_matrix(path, a: CMatrix) -> None:
 # full collections over the tens of thousands of objects numpy and scipy
 # keep tracked, about 12 ms each: 7% of the time of in-process CLI chains
 # on a 2-CPU host. The lists hold only numbers, so they form no cycle, and
-# reference counting frees them.
-
-
-_pause_lock = threading.Lock()
-_pauses = 0  # blocks running now, in all threads
-_resume = False  # whether the first of them found the collector on
-
-
-@contextlib.contextmanager
-def _collector_paused():
-    """Turn automatic garbage collection off for the block, and back on
-    when the last block running in any thread ends, if the first found
-    it on.
-
-    The collector's state is process-wide, as under ``timeit``: other
-    threads run without it meanwhile. Overlapping blocks count as one
-    pause, under a lock, so none turns the collector on while another
-    runs, and the state the first found is the one the last restores.
-    The block must free what it allocated before it ends, or the
-    collector promotes it.
-    """
-    global _pauses, _resume
-    with _pause_lock:
-        if _pauses == 0:
-            _resume = gc.isenabled()
-            gc.disable()
-        _pauses += 1
-    try:
-        yield
-    finally:
-        with _pause_lock:
-            _pauses -= 1
-            if _pauses == 0 and _resume:
-                gc.enable()
-
-
-# -- decoded files, reused within a process ----------------------------------
+# reference counting frees them: the collector is kept off meanwhile.
 #
 # The commands of one pipeline read the same files again (verify reads the
 # instance that solve read, and gen has just written it), and decoding took
@@ -512,16 +478,38 @@ def _collector_paused():
 DECODE_MEMO_SIZE = 8
 
 _decoded: OrderedDict = OrderedDict()  # (kind, bytes) -> value, oldest first
-_decoded_lock = threading.Lock()
+_codec_lock = threading.RLock()
+
+
+@contextlib.contextmanager
+def _codec():
+    """Hold the codec's lock, with automatic garbage collection off, for
+    the block; turn the collector back on after if it was on before.
+
+    The memo and the collector's state are process-wide, as under
+    ``timeit``: other threads run without the collector meanwhile. Blocks
+    of different threads take turns, so each restores the state the one
+    before it left; a block nested in one thread restores what it found.
+    The block must free what it allocated before it ends, or the
+    collector promotes it.
+    """
+    with _codec_lock:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def _remember(key, value) -> None:
-    # room is made before the insert, so the memo never holds more
-    with _decoded_lock:
-        _decoded.pop(key, None)
-        while len(_decoded) >= DECODE_MEMO_SIZE:
-            _decoded.popitem(last=False)
-        _decoded[key] = value
+    # inside a _codec block; room is made before every insert, so the
+    # memo never holds more
+    _decoded.pop(key, None)
+    if len(_decoded) >= DECODE_MEMO_SIZE:
+        _decoded.popitem(last=False)
+    _decoded[key] = value
 
 
 def load_decoded(path, kind: str, decode):
@@ -540,30 +528,29 @@ def load_decoded(path, kind: str, decode):
     The file is read on every call, and decoded unless a value of this
     ``kind`` for the same bytes is among the last ``DECODE_MEMO_SIZE``
     decoded or written; ``decode`` must return an immutable value. The
-    parse and ``decode`` run with the collector paused (see
-    :func:`_collector_paused`).
+    memo lookup, the parse, ``decode`` and the memo update run in one
+    :func:`_codec` block: under the codec's lock, with the collector off.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     key = (kind, data)
-    with _decoded_lock:
-        value = _decoded.get(key)
-        if value is not None:
-            _decoded.move_to_end(key)
-            return value
     try:
-        with _collector_paused():
+        with _codec():
+            value = _decoded.get(key)
+            if value is not None:
+                _decoded.move_to_end(key)
+                return value
             try:
                 obj = orjson.loads(data)
             except orjson.JSONDecodeError:
                 obj = json.loads(data.decode("utf-8"))
             value = decode(obj)
             del obj  # the parsed tree is freed before collection resumes
+            _remember(key, value)
     except UnicodeDecodeError as exc:  # from data.decode: decode sees no bytes
         raise MatrixFormatError(f"{path} is not UTF-8 text: {exc}") from None
     except RecursionError:  # json.loads of deeply nested text
         raise MatrixFormatError(f"{path} nests too deeply to decode") from None
-    _remember(key, value)
     return value
 
 

@@ -303,7 +303,8 @@ def eval_three_layer(
     DimensionError
         If ``x`` or ``inner`` and the weights differ in shape.
     ValueError
-        If an entry of ``x`` or ``inner`` is NaN or infinite.
+        If an entry of ``x`` or ``inner`` is not a number, or is NaN or
+        infinite.
     OverflowError
         If an entry overflows in a product or an exponential: the output
         would hold NaN or infinite entries.
@@ -315,6 +316,8 @@ def eval_three_layer(
     for name, m in operands.items():
         if m.shape != weights.w1.shape:
             raise DimensionError(f"dimension mismatch: {name} {m.shape} vs {weights.w1.shape}")
+        if m.dtype.kind not in "biufc":  # strings, None, objects
+            raise ValueError(f"{name} entries must be numbers, got dtype {m.dtype}")
         # with the operands finite, any non-finite entry below is an overflow
         require_finite(m, name)
     with np.errstate(over="ignore", invalid="ignore"):

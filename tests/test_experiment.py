@@ -274,6 +274,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"got {re.escape(repr(seed))}$"):
             xp.ExperimentConfig(dim=2, steps=3, seeds=(1, seed))
 
+    @pytest.mark.parametrize("seeds", [5, 5.0, None])
+    def test_seeds_must_be_iterable(self, seeds):
+        with pytest.raises(ValueError, match=f"^seeds must be .*got {re.escape(repr(seeds))}$"):
+            xp.ExperimentConfig(dim=2, steps=3, seeds=seeds)
+
     def test_repeated_seed_is_refused(self):
         # checked after conversion, so 1 and 1.0 are the same seed
         with pytest.raises(ValueError, match="^seeds must be distinct, got 1 more than once$"):

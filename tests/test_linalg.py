@@ -621,22 +621,49 @@ class TestCollectorPaused:
         assert states == [enabled] * 4
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
-    def test_overlapping_pauses_end_with_the_last(self, enabled):
-        # blocks of two threads that overlap, entered and left by hand in
-        # the order: first in, second in, first out, second out
-        first, second = linalg._collector_paused(), linalg._collector_paused()
+    def test_blocks_of_two_threads_take_turns(self, enabled):
+        # thread a holds a block while thread b tries to enter one: b
+        # enters only after a has left, and the collector ends as it began
+        a_in, a_release, b_trying, b_in = (threading.Event() for _ in range(4))
+        order, inside = [], []
+
+        def first():
+            with linalg._codec():
+                order.append("a in")
+                a_in.set()
+                a_release.wait(timeout=10)
+                order.append("a out")
+
+        def second():
+            b_trying.set()
+            with linalg._codec():
+                order.append("b in")
+                inside.append(gc.isenabled())
+                b_in.set()
+
         was_enabled = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
+        a, b = threading.Thread(target=first), threading.Thread(target=second)
         try:
-            first.__enter__()
-            second.__enter__()
-            first.__exit__(None, None, None)
-            states = [gc.isenabled()]
-            second.__exit__(None, None, None)
-            states.append(gc.isenabled())
+            a.start()
+            assert a_in.wait(timeout=10)
+            inside.append(gc.isenabled())
+            b.start()
+            assert b_trying.wait(timeout=10)
+            entered_early = b_in.wait(timeout=0.2)
+            a_release.set()
+            assert b_in.wait(timeout=10)
         finally:
+            a_release.set()
+            a.join(timeout=10)
+            b.join(timeout=10)
+            after = gc.isenabled()
             (gc.enable if was_enabled else gc.disable)()
-        assert states == [False, enabled]
+        assert not a.is_alive() and not b.is_alive()
+        assert not entered_early
+        assert order == ["a in", "a out", "b in"]
+        assert inside == [False, False]
+        assert after == enabled
 
 
 def significant_digits(token: str) -> str:

@@ -336,6 +336,16 @@ class TestSolveThreeLayer:
         with pytest.raises(ValueError, match="inner"):
             solver.eval_three_layer(w, inst.x1, bad)
 
+    @pytest.mark.parametrize("bad", [[["a", "b"], ["c", "d"]], [[None, 1], [1, 1]]],
+                             ids=["strings", "none"])
+    def test_eval_refuses_non_numeric_input(self, bad):
+        inst = admitted_instance(2, seed=88)
+        w = solver.solve_three_layer(inst)
+        with pytest.raises(ValueError, match="^x entries must be numbers"):
+            solver.eval_three_layer(w, bad)
+        with pytest.raises(ValueError, match="^inner entries must be numbers"):
+            solver.eval_three_layer(w, inst.x1, bad)
+
     def test_overflowing_weights_raise_without_warning(self):
         # W2's product overflows at this alpha: the finite check refuses
         # it, and numpy prints nothing first

@@ -319,6 +319,46 @@ def test_isfinite_is_called_in_require_finite_only(path):
     assert isfinite_uses(tree, allowed) == [], f"{path.name}: np.isfinite (lines)"
 
 
+COLLECTOR_SWITCHES = ("disable", "enable", "isenabled")
+
+
+def collector_switch_uses(tree: ast.Module, allowed=None) -> list:
+    """Lines that name a switch of ``COLLECTOR_SWITCHES`` (an attribute of
+    ``gc``, or the name imported from it), outside the function named
+    ``allowed``."""
+    lines = set()
+    for node in nodes_outside(tree, allowed):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "gc" and node.attr in COLLECTOR_SWITCHES:
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            if any(alias.name in COLLECTOR_SWITCHES for alias in node.names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_a_second_collector_switch():
+    tree = ast.parse(
+        "import gc\nfrom gc import disable\n"
+        "def _codec():\n    on = gc.isenabled()\n    gc.disable()\n    gc.enable()\n"
+        "def f():\n    gc.disable()\n"
+        "g = lambda: gc.isenabled()\nh = gc.enable\nfrom gc import collect, enable\n"
+        "i = gc.collect()\nj = other.disable()\n"
+    )
+    assert collector_switch_uses(tree, "_codec") == [2, 8, 9, 10, 11]
+    assert collector_switch_uses(tree) == [2, 4, 5, 6, 8, 9, 10, 11]
+
+
+# one collector pause: the collector is switched in linalg._codec alone,
+# under the codec's lock, so no other switch can race its restore
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_collector_is_switched_in_codec_only(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = "_codec" if path.name == "linalg.py" else None
+    found = collector_switch_uses(tree, allowed)
+    assert found == [], f"{path.name}: gc switches (lines)"
+
+
 def test_experiment_imports_nothing_from_scipy_linalg():
     path = SOURCE / "experiment.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
