@@ -224,7 +224,8 @@ def _lu_factor(a: np.ndarray) -> tuple:
     # so a real norm has numpy's bits
     anorm = lapack.lange("I", a.T)
     if not math.isfinite(anorm):
-        raise ValueError(f"matrix entries must be finite (no NaN/Inf); 1-norm {anorm}")
+        require_finite(a)
+        raise ValueError("matrix 1-norm is past float range; its entries are finite")
     if info > 0 or anorm == 0.0:
         return lu, piv, 0.0
     rcond, info = lapack.gecon(lu, anorm)  # 1-norm estimate

@@ -13,8 +13,10 @@ the matrix logarithm*, SISC 2012): principal square roots of T (scipy's
 recursive Schur square root, after Deadman, Higham & Ralha 2013) until
 X = T^(1/2^s) - I is small enough for an [m/m] Pade approximant of degree
 m <= 7, that approximant in its Gauss-Legendre partial-fraction form, then
-a factor 2^s. Logarithm branches are selected per eigenvalue as
-log lam = ln|lam| + i*(arg lam + 2*pi*k) with principal arg in (-pi, pi].
+a factor 2^s. Either path leaves the diagonal to ``logm``, which takes
+each eigenvalue's logarithm once and writes the exact scalar logs there,
+then the branch: log lam = ln|lam| + i*(arg lam + 2*pi*k) with principal
+arg in (-pi, pi].
 
 Both kernels call scipy's compiled routines directly, without the Python
 wrappers of ``scipy.linalg.expm`` and ``scipy.linalg.sqrtm``: a dense
@@ -40,6 +42,7 @@ from .linalg import (
     CMatrix,
     _check_square,
     _lapack,
+    _shown,
     integer_value,
     one_norm,
     require_finite,
@@ -170,14 +173,13 @@ def _span_max(upper: np.ndarray) -> np.ndarray:
     )[::-1]
 
 
-def _reject_straddling_span(eig: np.ndarray, magnitude: np.ndarray) -> None:
+def _reject_straddling_span(eig: np.ndarray, args: np.ndarray, magnitude: np.ndarray) -> None:
     """Refuse a logarithm of the triangular factor with an entry (i, j)
     above ``STRADDLE_LOG_LIMIT``, or NaN, whose span i..j holds two
-    eigenvalues astride the branch cut (principal arguments more than pi
-    apart). ``magnitude`` holds the moduli of the logarithm's entries.
-    A large entry whose span holds no such pair is an accurate log of a
-    non-normal matrix, and passes."""
-    args = _principal_log(eig).imag
+    eigenvalues astride the branch cut (principal arguments ``args`` more
+    than pi apart). ``magnitude`` holds the moduli of the logarithm's
+    entries. A large entry whose span holds no such pair is an accurate
+    log of a non-normal matrix, and passes."""
     straddle = np.triu(np.abs(args[:, None] - args[None, :]) > math.pi)
     over = _span_max(straddle) & ~(magnitude <= STRADDLE_LOG_LIMIT)
     if over.any():
@@ -196,50 +198,36 @@ def _pade_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     return (nodes + 1.0) / 2.0, weights / 2.0
 
 
-def _check_root_cap(roots: int) -> None:
-    if roots >= LOGM_MAX_SQRTS:
-        raise ConvergenceError("square-root chain failed to reach the Pade region")
-
-
 def _logm_triu(t: np.ndarray) -> np.ndarray:
-    """Principal logarithm of an upper-triangular matrix.
+    """Principal logarithm of an upper-triangular matrix; :func:`logm`
+    writes its diagonal.
 
     Inverse scaling and squaring after Al-Mohy & Higham (SISC 2012),
-    Algorithm 4.1 without its extra-root heuristic. The diagonal of
-    X = T^(1/2^s) - I is a lower bound on alpha_2(X), and the diagonal of
-    a triangular root is the scalar roots of the diagonal, so s starts
-    as the number of scalar square roots that bring every eigenvalue
-    within theta_7 of 1; that many principal roots of T are taken with
-    no test in between. Further roots follow until
+    Algorithm 4.1 without its extra-root heuristic. Principal roots of T
+    are taken until X = T^(1/2^s) - I has
     alpha_2(X) = max(||X^2||_1^(1/2), ||X^3||_1^(1/3)) <= theta_7. The
-    smallest m with alpha_2(X) <= theta_m picks the [m/m]
-    Pade approximant, evaluated as sum_j w_j (I + x_j X)^-1 X over the
-    Gauss-Legendre nodes x_j and weights w_j on [0, 1]: m triangular
-    solves. The result is multiplied by 2^s, and its diagonal is finally
-    reset to exact scalar logs of the original eigenvalues.
+    diagonal of X bounds alpha_2(X) from below, so alpha_2 is formed only
+    once every diagonal entry is within theta_7 of 0. The smallest m with
+    alpha_2(X) <= theta_m picks the [m/m] Pade approximant, evaluated as
+    sum_j w_j (I + x_j X)^-1 X over the Gauss-Legendre nodes x_j and
+    weights w_j on [0, 1]: m triangular solves. The result is multiplied
+    by 2^s.
     """
-    dim = t.shape[0]
-    eye = np.eye(dim, dtype=np.complex128)
+    eye = np.eye(t.shape[0], dtype=np.complex128)
     # fold -0.0 imaginary parts onto +0.0: the root of -1 must be +i, on
-    # the sheet of the exact diagonal logs below
-    t = np.asarray(t, dtype=np.complex128) + 0.0
+    # the sheet of the exact diagonal logs logm writes
+    work = np.asarray(t, dtype=np.complex128) + 0.0
     theta = LOGM_PADE_THETA[-1]
-    diagonal = t.diagonal()
     roots = 0
-    while np.abs(diagonal - 1.0).max() > theta:
-        _check_root_cap(roots)
-        diagonal = np.sqrt(diagonal)
-        roots += 1
-    work = t
-    for _ in range(roots):
-        work = _sqrtm_triu(work)
     while True:
         x = work - eye
-        x2 = x @ x
-        alpha = max(one_norm(x2) ** 0.5, one_norm(x2 @ x) ** (1.0 / 3.0))
-        if alpha <= theta:
-            break
-        _check_root_cap(roots)
+        if np.abs(np.diagonal(x)).max() <= theta:
+            x2 = x @ x
+            alpha = max(one_norm(x2) ** 0.5, one_norm(x2 @ x) ** (1.0 / 3.0))
+            if alpha <= theta:
+                break
+        if roots >= LOGM_MAX_SQRTS:
+            raise ConvergenceError("square-root chain failed to reach the Pade region")
         work = _sqrtm_triu(work)
         roots += 1
     nodes, weights = _pade_nodes(bisect.bisect_left(LOGM_PADE_THETA, alpha) + 1)
@@ -252,37 +240,32 @@ def _logm_triu(t: np.ndarray) -> np.ndarray:
             raise ValueError(f"trtrs failed with info={info}")
         out += weight * y
     out *= 2.0**roots
-    np.fill_diagonal(out, np.log(np.diagonal(t)))
     return out
 
 
-def _logm_triu_eigen(t: np.ndarray) -> np.ndarray | None:
-    """Principal logarithm W diag(log t_ii) W^-1 of an upper-triangular
-    matrix through its eigenvectors W, or None where that product is not
-    accurate.
+def _logm_triu_eigen(t: np.ndarray, logs: np.ndarray) -> np.ndarray | None:
+    """Principal logarithm W diag(logs) W^-1 of an upper-triangular matrix,
+    ``logs`` the principal logs of its diagonal, through its eigenvectors
+    W, or None where that product is not accurate; :func:`logm` writes
+    its diagonal.
 
     LAPACK zgeev returns a triangular input's diagonal in order and an
     upper-triangular W. None unless it succeeds with exactly that, and
     the 1-norm rcond of W (trcon) is at or above
     ``EIGENVECTOR_RCOND_FLOOR``. One transposed triangular solve
-    W^T Y = (W D)^T gives Y = (W D W^-1)^T, D = diag(log t_ii); the
-    result's diagonal is the exact scalar logs, as in :func:`_logm_triu`.
+    W^T Y = (W D)^T gives Y = (W D W^-1)^T, D = diag(logs).
     """
     lapack = _lapack(t.dtype)
     eigenvalues, _, w, info = lapack.geev(t, compute_vl=0)
-    diagonal = np.diagonal(t)
-    if info != 0 or not np.array_equal(eigenvalues, diagonal) or np.tril(w, -1).any():
+    if info != 0 or not np.array_equal(eigenvalues, np.diagonal(t)) or np.tril(w, -1).any():
         return None
     rcond, info = lapack.trcon(w)
     if info != 0 or not rcond >= EIGENVECTOR_RCOND_FLOOR:
         return None
-    logs = _principal_log(diagonal)
     y, info = lapack.trtrs(w, (w * logs).T, trans=1)
     if info != 0:  # pragma: no cover - W clears the rcond floor
         raise ValueError(f"trtrs failed with info={info}")
-    out = y.T
-    np.fill_diagonal(out, logs)
-    return out
+    return y.T
 
 
 def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
@@ -298,8 +281,11 @@ def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
     W diag(log t_ii) W^-1, from the eigenvectors W of T, when rcond_1(W)
     is at or above :data:`EIGENVECTOR_RCOND_FLOOR`; otherwise (Jordan
     blocks and near-defective clusters among them), or when zgeev fails,
-    it is inverse scaling and squaring. The branch, the guards below and
-    the accuracy contract apply to both paths.
+    it is inverse scaling and squaring. The principal log of each
+    eigenvalue is taken once: it sets the exact diagonal of either
+    path's result, feeds the straddle guard, and carries the branch
+    shift, which is written onto the diagonal after the guard. The guards
+    below and the accuracy contract apply to both paths.
 
     Accuracy contract: ``||expm(logm(a)) - a||_F <= 1e-8 * ||a||_F *
     kappa`` with kappa = max(1, ||strict upper of T||_F / g), T the
@@ -311,7 +297,8 @@ def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
     Raises
     ------
     ValueError
-        For a bool or non-integral ``branch``, or a NaN or infinite entry.
+        For a bool or non-integral ``branch``, one whose 2*pi*branch is
+        past float range, or a NaN or infinite entry.
     NearSingularError
         If the 1-norm rcond of the triangular Schur factor T (LAPACK
         trcon) is at or below :data:`~expnet.linalg.SINGULAR_RCOND`, as it
@@ -333,22 +320,27 @@ def logm(a: CMatrix, branch: int = PRINCIPAL) -> CMatrix:
         eigenvector path takes no roots.
     """
     branch = integer_value(branch, "branch must be an integer")
+    try:
+        shift = 2.0 * math.pi * branch
+    except OverflowError:  # branch itself is past float range
+        shift = math.inf
+    if math.isinf(shift):
+        raise ValueError(f"branch must keep 2*pi*branch in float range, got {_shown(branch)}")
     # schur_decompose refuses a non-square or non-finite matrix
     form = schur_decompose(a)
     rcond, info = _lapack(form.t.dtype).trcon(form.t)
     if info != 0:  # pragma: no cover - illegal-argument path
         raise ValueError(f"trcon failed with info={info}")
     require_nonsingular(rcond)
-    log_t = _logm_triu_eigen(form.t)
+    logs = _principal_log(form.eigenvalues)
+    log_t = _logm_triu_eigen(form.t, logs)
     if log_t is None:
         log_t = _logm_triu(form.t)
+    np.fill_diagonal(log_t, logs)
     magnitude = np.abs(log_t)
     # written so that a NaN from an overflowed root fails the test
     if not magnitude.max() <= STRADDLE_LOG_LIMIT:
-        _reject_straddling_span(form.eigenvalues, magnitude)
+        _reject_straddling_span(form.eigenvalues, logs.imag, magnitude)
     if branch:
-        log_t = log_t + (2j * math.pi * branch) * np.eye(
-            form.t.shape[0], dtype=np.complex128
-        )
+        np.fill_diagonal(log_t, logs + complex(0.0, shift))
     return form.q @ log_t @ form.q.conj().T
-

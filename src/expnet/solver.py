@@ -265,7 +265,9 @@ def solve_three_layer(
     IllConditionedError, ConvergenceError
         From :func:`~expnet.matfuncs.logm` of Y1^-1 Y2.
     OverflowError
-        If an exponential or a constructed weight overflows.
+        If an exponential or a constructed weight overflows, or the
+        1-norm of expm(-W1 X2) or of the outer exponential is past float
+        range.
     ValueError
         For alpha <= 0, a non-finite alpha or |alpha - 1| < MIN_ALPHA_GAP.
     """
@@ -284,13 +286,7 @@ def solve_three_layer(
     with np.errstate(over="ignore", invalid="ignore"):
         e = expm(-(w1 @ inst.x2))
     require_finite(w1, "constructed w1", OverflowError)
-    try:
-        first_layer = lu_factor(e)
-    except ValueError:  # e is finite, so its 1-norm is past float range
-        raise OverflowError(
-            "expm(-W1 X2), the right factor of w2, has a 1-norm past float range"
-        ) from None
-    require_nonsingular(first_layer.rcond, LAYER_RCOND_FLOOR, "expm(-W1 X2)")
+    _gate_layer(e, "expm(-W1 X2)", "w2")
     log_m = logm(lu_solve(inst.factors["y1"], inst.y2), branch)
     z = log_m + ln_alpha * np.eye(inst.dim, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -299,8 +295,22 @@ def solve_three_layer(
         w3 = np.asarray(inst.y1) @ outer
     for name, w in (("w2", w2), ("w3", w3)):
         require_finite(w, f"constructed {name}", OverflowError)
-    require_nonsingular(lu_factor(outer).rcond, LAYER_RCOND_FLOOR, "expm(alpha/(alpha-1) L)")
+    _gate_layer(outer, "expm(alpha/(alpha-1) L)", "w3")
     return ThreeLayerWeights(w1=w1, w2=w2, w3=w3, alpha=alpha, z=z)
+
+
+def _gate_layer(e: np.ndarray, what: str, weight: str) -> None:
+    """Refuse the finite layer exponential ``e``, named ``what``, the
+    right factor of the weight ``weight``: NearSingularError if its rcond
+    is at or below ``LAYER_RCOND_FLOOR``, OverflowError if its 1-norm is
+    past float range, which :func:`~expnet.linalg.lu_factor` refuses."""
+    try:
+        factors = lu_factor(e)
+    except ValueError:  # e is finite, so its 1-norm is past float range
+        raise OverflowError(
+            f"{what}, the right factor of {weight}, has a 1-norm past float range"
+        ) from None
+    require_nonsingular(factors.rcond, LAYER_RCOND_FLOOR, what)
 
 
 def eval_three_layer(

@@ -7,6 +7,7 @@ central differences. Slow is fine; agreeing with the implementation by
 construction is not. The library ships none of them.
 """
 
+import math
 import os
 from collections import OrderedDict
 
@@ -88,6 +89,21 @@ def random_complex(seed, dim, scale=1.0):
 def random_matrix(dim, seed, kind="complex-gaussian"):
     """The package's Gaussian sampler on a fresh PCG64 stream seeded with ``seed``."""
     return linalg.gaussian_entries(np.random.default_rng(seed), dim, kind)
+
+
+def outer_overflow_instance():
+    """An admitted d = 2 instance whose outer exponential expm(s L), at
+    alpha = e and s = alpha/(alpha-1), has finite entries (about 9.6e307)
+    but a 1-norm past float range. L = (709.5/s) I plus a rotation
+    generator of angle pi/(4s); Y1 = 1e-10 G and Y2 = Y1 expm(L), with X1,
+    X2 and G complex Gaussian (every rcond is at least 0.05)."""
+    rng = np.random.default_rng(7)
+    x1, x2, g = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3))
+    s = math.e / (math.e - 1.0)
+    turn = math.pi / (4.0 * s)
+    log_quotient = (709.5 / s) * np.eye(2) + np.array([[0.0, turn], [-turn, 0.0]])
+    y1 = 1e-10 * g
+    return solver.make_instance(x1, x2, y1, y1 @ expm(log_quotient))
 
 
 def jordan_block_log(lam, m):

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from expnet import cli, errors, linalg, matfuncs, solver
 from expnet.matfuncs import PRINCIPAL
 
-from conftest import random_matrix
+from conftest import outer_overflow_instance, random_matrix
 
 
 def run_cli(*argv):
@@ -367,6 +367,15 @@ class TestSolveVerifyEval:
         assert err.count("\n") == 1
         assert not (workdir / "inst/weights.json").exists()
 
+    def test_outer_exponential_past_float_range_exits_5(self, workdir, capsys):
+        # a numerical failure, not a flag error: exit 5 and nothing written
+        solver.save_instance("inst", outer_overflow_instance())
+        assert run_cli("solve", "--instance", "inst") == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error [OverflowError]: expm(alpha/(alpha-1) L)")
+        assert err.count("\n") == 1
+        assert not (workdir / "inst/weights.json").exists()
+
     def test_missing_instance_exit_4(self, workdir, capsys):
         assert run_cli("solve", "--instance", "nowhere") == 4
         # a missing path is an error, even when its parent directory holds an instance
@@ -470,6 +479,17 @@ class TestMatrixFunctions:
         linalg.save_matrix(workdir / "a.json", np.array([[100.0, 1.0], [0.0, 100.0]]))
         assert run_cli("logm", "--in", "a.json") == 5
         assert "error [ConvergenceError]" in capsys.readouterr().err
+
+    def test_logm_branch_past_float_range_exit_2(self, workdir, capsys):
+        # 2*pi*k past float range is a flag error, not a numerical failure
+        linalg.save_matrix(workdir / "a.json", random_matrix(3, seed=9))
+        argv = ("logm", "--in", "a.json", "--branch-offset", "1" + "0" * 400, "--out", "l.json")
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == (
+            "error [ValueError]: branch must keep 2*pi*branch in float range, "
+            "got int of 401 digits\n"
+        )
+        assert not (workdir / "l.json").exists()
 
     def test_logm_whose_roundtrip_overflows_writes_nothing(self, workdir, capsys):
         # the log is refused by expm's norm limit in the roundtrip check

@@ -182,6 +182,13 @@ class TestLu:
         with pytest.raises(ValueError, match="must be finite"):
             linalg.lu_factor(a)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_finite_input_with_a_norm_past_float_range_raises(self, dtype):
+        # the message must not call finite entries non-finite
+        a = np.full((2, 2), 1e308, dtype=dtype)
+        with pytest.raises(ValueError, match="^matrix 1-norm is past float range; its entries"):
+            linalg.lu_factor(a)
+
     @pytest.mark.parametrize("b", [np.ones(4), np.ones((2, 3)), np.float64(1.0), np.ones((3, 3, 1))])
     def test_rhs_of_another_order_raises(self, b):
         with pytest.raises(errors.DimensionError, match=r"^right-hand side of shape"):

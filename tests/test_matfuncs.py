@@ -194,27 +194,35 @@ def bounded_matrices(draw):
     return np.array(draw(entries), dtype=np.complex128).reshape(dim, dim)
 
 
-def two_stage_logm_triu(t, sqrtm):
-    """The logarithm of an upper-triangular matrix with the square roots
-    counted in one loop: each pass tests the diagonal of X = T^(1/2^s) - I
-    first and forms alpha_2(X) only once the diagonal is inside theta_7.
-    Returns the result and the number of roots taken."""
+def precount_logm_triu(t, sqrtm):
+    """The logarithm of an upper-triangular matrix, but for its diagonal,
+    with the square roots counted in two loops: scalar roots of the
+    diagonal until every eigenvalue is within theta_7 of 1, that many
+    matrix roots with no test in between, then one alpha_2(X) test per
+    further root. Returns the result and the number of roots taken."""
     eye = np.eye(t.shape[0], dtype=np.complex128)
     t = np.asarray(t, dtype=np.complex128) + 0.0
     theta = matfuncs.LOGM_PADE_THETA[-1]
-    work, roots = t, 0
+    diagonal, roots = t.diagonal(), 0
+    while np.abs(diagonal - 1.0).max() > theta:
+        if roots >= matfuncs.LOGM_MAX_SQRTS:
+            raise errors.ConvergenceError("no Pade region")
+        diagonal = np.sqrt(diagonal)
+        roots += 1
+    work = t
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        for _ in range(roots):
+            work = sqrtm(work)
         while True:
             x = work - eye
-            if np.abs(np.diagonal(x)).max() <= theta:
-                x2 = x @ x
-                alpha = max(
-                    np.linalg.norm(x2, 1) ** 0.5,
-                    np.linalg.norm(x2 @ x, 1) ** (1.0 / 3.0),
-                )
-                if alpha <= theta:
-                    break
+            x2 = x @ x
+            alpha = max(
+                np.linalg.norm(x2, 1) ** 0.5,
+                np.linalg.norm(x2 @ x, 1) ** (1.0 / 3.0),
+            )
+            if alpha <= theta:
+                break
             if roots >= matfuncs.LOGM_MAX_SQRTS:
                 raise errors.ConvergenceError("no Pade region")
             work = sqrtm(work)
@@ -226,8 +234,28 @@ def two_stage_logm_triu(t, sqrtm):
     for node, weight in zip(nodes, weights):
         out += weight * trtrs(eye + node * x, x)[0]
     out *= 2.0**roots
-    np.fill_diagonal(out, np.log(np.diagonal(t)))
     return out, roots
+
+
+def exact_diagonal(log_t, t):
+    """``log_t`` with the diagonal logm writes, the principal logs of the
+    diagonal of t (None stays None)."""
+    if log_t is not None:
+        np.fill_diagonal(log_t, matfuncs._principal_log(np.diagonal(t)))
+    return log_t
+
+
+def inverse_scaling_log(t):
+    """The logarithm of an upper-triangular t by inverse scaling and
+    squaring, with logm's diagonal."""
+    return exact_diagonal(matfuncs._logm_triu(t), t)
+
+
+def eigenvector_log(t):
+    """The logarithm of an upper-triangular t through its eigenvectors,
+    with logm's diagonal, or None where the gate declines."""
+    logs = matfuncs._principal_log(np.diagonal(t))
+    return exact_diagonal(matfuncs._logm_triu_eigen(t, logs), t)
 
 
 def straddling_inputs(count, seed):
@@ -316,11 +344,10 @@ class TestEigenvectorPath:
     def test_solver_quotients_agree_with_inverse_scaling(self, dim):
         for seed in (1, 2, 3):
             t = linalg.schur_decompose(label_quotient(dim, seed)).t
-            ref = matfuncs._logm_triu(t)
-            got = matfuncs._logm_triu_eigen(t)
+            ref = inverse_scaling_log(t)
+            got = eigenvector_log(t)
             assert got is not None
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), seed
-            assert_array_equal(np.diagonal(got), np.diagonal(ref))
 
     @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
     def test_solver_quotients_take_the_eigenvector_path(self, dim, monkeypatch):
@@ -341,13 +368,29 @@ class TestEigenvectorPath:
         expected = np.diag(np.log(np.diagonal(diagonal) + 0.0))
         assert_allclose(logm(diagonal), expected, rtol=0, atol=1e-15)
         t = np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [0.0, 0.0, 3.0]], dtype=complex)
-        got = matfuncs._logm_triu_eigen(t)
-        ref = matfuncs._logm_triu(t)
+        got = eigenvector_log(t)
+        ref = inverse_scaling_log(t)
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
         q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
         a = q @ t @ q.T
         assert np.linalg.norm(expm(logm(a)) - a) <= 1e-13 * np.linalg.norm(a)
         assert calls == [3]  # the direct reference call only
+
+    @pytest.mark.parametrize("branch", [PRINCIPAL, 1, -1, 3])
+    def test_diagonal_is_the_exact_logs_on_both_paths(self, branch, monkeypatch):
+        # logm writes the principal logs of T's eigenvalues plus 2*pi*i*k
+        # on the diagonal of log T, whichever path took the rest; T is
+        # upper triangular, so its Schur form is T itself
+        rng = np.random.default_rng(35)
+        calls = counted_inverse_scaling(monkeypatch)
+        floors = (matfuncs.EIGENVECTOR_RCOND_FLOOR, math.inf)  # inf refuses every W
+        for dim in (1, 2, 5, 8):
+            t = np.triu(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            exact = matfuncs._principal_log(np.diagonal(t)) + 2j * math.pi * branch
+            for floor in floors:
+                monkeypatch.setattr(matfuncs, "EIGENVECTOR_RCOND_FLOOR", floor)
+                assert_array_equal(np.diagonal(logm(t, branch)), exact)
+        assert calls == [1, 2, 5, 8]
 
     @pytest.mark.parametrize("branch", [-1, 1])
     def test_branch_offset_matches_inverse_scaling(self, branch):
@@ -405,10 +448,10 @@ class TestEigenvectorPath:
         monkeypatch.setattr(matfuncs, "_lapack", lambda dtype: routines)
         a = label_quotient(4, 1)
         t = linalg.schur_decompose(a).t
-        assert matfuncs._logm_triu_eigen(t) is None
+        assert eigenvector_log(t) is None
         calls = counted_inverse_scaling(monkeypatch)
         form = linalg.schur_decompose(a)
-        expected = form.q @ matfuncs._logm_triu(form.t) @ form.q.conj().T
+        expected = form.q @ inverse_scaling_log(form.t) @ form.q.conj().T
         assert logm(a).tobytes() == expected.tobytes()
         assert calls == [4, 4]
 
@@ -418,7 +461,7 @@ class TestEigenvectorPath:
         # the gate refuses exactly the W below EIGENVECTOR_RCOND_FLOOR
         taken = refused = 0
         for t in near_defective_triangles(40, 33):
-            got = matfuncs._logm_triu_eigen(t)
+            got = eigenvector_log(t)
             rcond = eigenvector_rcond(t)
             if got is None:
                 assert rcond < 3 * matfuncs.EIGENVECTOR_RCOND_FLOOR
@@ -447,7 +490,7 @@ class TestLogm:
         for t in root_count_inputs():
             calls.clear()
             try:
-                ref, roots = two_stage_logm_triu(t, real_sqrtm)
+                ref, roots = precount_logm_triu(t, real_sqrtm)
             except errors.ExpnetError as err:
                 with pytest.raises(type(err)):
                     matfuncs._logm_triu(t)
@@ -576,6 +619,15 @@ class TestLogm:
     def test_branch_must_be_an_integer(self, branch):
         # a half-integer branch would return L + i*pi*I, whose exponential is -a
         with pytest.raises(ValueError, match=f"^branch .*got {re.escape(repr(branch))}$"):
+            logm(random_matrix(3, seed=5), branch)
+
+    @pytest.mark.parametrize(
+        "branch", [10**400, -(10**400), 10**308, 2.0**1022],
+        ids=["10**400", "-10**400", "10**308", "2.0**1022"],
+    )
+    def test_branch_past_float_range_is_a_value_error(self, branch):
+        # 2*pi*branch must be a float, or the shift cannot be written
+        with pytest.raises(ValueError, match=r"^branch must keep 2\*pi\*branch in float range"):
             logm(random_matrix(3, seed=5), branch)
 
     def test_integral_branch_values_give_the_same_bytes(self):

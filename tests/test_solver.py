@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from expnet import cli, errors, experiment, linalg, matfuncs, solver
 
-from conftest import oracle_expm, random_matrix
+from conftest import oracle_expm, outer_overflow_instance, random_matrix
 
 
 def admitted_instance(dim, seed):
@@ -219,6 +219,17 @@ class TestSolveThreeLayer:
         monkeypatch.setattr(solver, "LAYER_RCOND_FLOOR", 0.0)
         rep = solver.verify(solver.solve_three_layer(inst, alpha=1.01), inst)
         assert rep.residual1 > 1e40
+
+    def test_outer_exponential_past_float_range_is_an_overflow(self):
+        # expm(alpha/(alpha-1) L) has finite entries and W3 is finite
+        # (about 1.6e298), but the third-layer gate needs the 1-norm of the
+        # exponential, which is past float range; the first gate's
+        # refusal, an OverflowError, applies
+        inst = outer_overflow_instance()
+        assert inst.admitted()
+        name = re.escape("expm(alpha/(alpha-1) L), the right factor of w3,")
+        with pytest.raises(OverflowError, match=f"^{name} has a 1-norm past float range$"):
+            solver.solve_three_layer(inst)
 
     def test_identity_checks_small(self):
         inst = admitted_instance(5, seed=55)

@@ -140,19 +140,24 @@ def nodes_outside(tree: ast.Module, function=None):
         stack.extend(ast.iter_child_nodes(node))
 
 
-def isfinite_uses(tree: ast.Module, allowed=None) -> list:
-    """Lines that name numpy's ``isfinite`` (an ``isfinite`` attribute of
+def numpy_uses(tree: ast.Module, function: str, allowed=None) -> list:
+    """Lines that name numpy's ``function`` (an attribute of that name of
     anything but ``math``, or the name imported from numpy), outside the
     function named ``allowed``."""
     lines = set()
     for node in nodes_outside(tree, allowed):
-        if isinstance(node, ast.Attribute) and node.attr == "isfinite":
+        if isinstance(node, ast.Attribute) and node.attr == function:
             if not (isinstance(node.value, ast.Name) and node.value.id == "math"):
                 lines.add(node.lineno)
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
-            if any(alias.name == "isfinite" for alias in node.names):
+            if any(alias.name == function for alias in node.names):
                 lines.add(node.lineno)
     return sorted(lines)
+
+
+def isfinite_uses(tree: ast.Module, allowed=None) -> list:
+    """:func:`numpy_uses` of ``isfinite``."""
+    return numpy_uses(tree, "isfinite", allowed)
 
 
 JSON_READERS = {"json": ("load", "loads"), "orjson": ("loads",)}
@@ -317,6 +322,25 @@ def test_isfinite_is_called_in_require_finite_only(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     allowed = "require_finite" if path.name == "linalg.py" else None
     assert isfinite_uses(tree, allowed) == [], f"{path.name}: np.isfinite (lines)"
+
+
+def test_the_check_sees_a_second_log():
+    tree = ast.parse(
+        "import math\nimport numpy as np\nfrom numpy import log\n"
+        "def _principal_log(z):\n    return np.log(z + 0.0)\n"
+        "def f(t):\n    return np.log(np.diagonal(t)) + math.log(2.0)\n"
+        "g = lambda z: log(z)\nh = np.emath.log\ni = np.log1p(t)\n"
+    )
+    assert numpy_uses(tree, "log", "_principal_log") == [3, 7, 9]
+    assert numpy_uses(tree, "log") == [3, 5, 7, 9]
+
+
+# one home for eigenvalue logarithms: inside matfuncs, numpy's log runs in
+# _principal_log alone, and logm takes each eigenvalue's log there once
+def test_matfuncs_takes_logs_in_principal_log_only():
+    path = SOURCE / "matfuncs.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert numpy_uses(tree, "log", "_principal_log") == [], "matfuncs.py: np.log (lines)"
 
 
 COLLECTOR_SWITCHES = ("disable", "enable", "isenabled")
